@@ -40,20 +40,19 @@ func main() {
 		argShots  = flag.Int("arg-shots", 0, "measurement shots per ARG record (default 4096)")
 		argTraj   = flag.Int("arg-trajectories", 0, "noisy trajectories per ARG record (default 256)")
 		trials    = flag.Int("router-trials", 0, "stochastic routing trials per circuit (0/1 = single-shot; trials run in parallel across GOMAXPROCS with a deterministic result)")
-		parambind = flag.String("parambind", "", "run the parameterized-compilation evidence suite instead of the figure suite: \"before\" (full compile per evaluation/point) or \"after\" (skeleton compiled once, angles bound per evaluation/point)")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "abort the suite after this long (0 = no deadline)")
 		listen    = flag.String("listen", "", "serve live Prometheus metrics, /healthz and pprof on this address (e.g. :8080) while the suite runs")
 		logOut    = flag.String("log", "", "write a JSON wide-event run summary line to this file (\"-\" for stderr, empty disables)")
 	)
 	flag.Parse()
 
-	if err := run(*out, *rev, *baseline, *parambind, *timeThr, *countThr, *simThr, *timeSlack, *instances, *nodes, *argShots, *argTraj, *trials, *seed, *timeout, *listen, *logOut); err != nil {
+	if err := run(*out, *rev, *baseline, *timeThr, *countThr, *simThr, *timeSlack, *instances, *nodes, *argShots, *argTraj, *trials, *seed, *timeout, *listen, *logOut); err != nil {
 		fmt.Fprintln(os.Stderr, "qaoa-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, rev, baseline, parambind string, timeThr, countThr, simThr, timeSlack float64, instances, nodes, argShots, argTraj, trials int, seed int64, timeout time.Duration, listen, logOut string) error {
+func run(out, rev, baseline string, timeThr, countThr, simThr, timeSlack float64, instances, nodes, argShots, argTraj, trials int, seed int64, timeout time.Duration, listen, logOut string) error {
 	runStart := time.Now()
 	rev = qaoac.RevisionFromEnv(rev)
 	if out == "" {
@@ -113,31 +112,7 @@ func run(out, rev, baseline, parambind string, timeThr, countThr, simThr, timeSl
 
 	rep := qaoac.NewBenchReport("qaoa-bench", rev, nil)
 	rep.TimeUnitSec = qaoac.CalibrateTimeUnit()
-	if parambind != "" {
-		// Evidence-pair mode: same seed, same workload, two compilation
-		// modes — the before/after files differ only in where the compile
-		// work lands (full pipeline per evaluation vs one skeleton + binds).
-		if baseline != "" {
-			return fmt.Errorf("-parambind and -baseline are mutually exclusive: compare the before/after pair directly")
-		}
-		pcfg := qaoac.DefaultParamBind()
-		switch parambind {
-		case "before":
-			pcfg.CompilePerEval = true
-		case "after":
-		default:
-			return fmt.Errorf("-parambind must be \"before\" or \"after\", got %q", parambind)
-		}
-		if instances > 0 {
-			pcfg.Instances = instances
-		}
-		if seed != 0 {
-			pcfg.Seed = seed
-		}
-		if err := qaoac.RunParamBindSuite(ctx, pcfg, rep); err != nil {
-			return err
-		}
-	} else if err := qaoac.RunBenchSuite(ctx, cfg, rep); err != nil {
+	if err := qaoac.RunBenchSuite(ctx, cfg, rep); err != nil {
 		return err
 	}
 	rep.AttachCollector(c)
@@ -162,11 +137,6 @@ func run(out, rev, baseline, parambind string, timeThr, countThr, simThr, timeSl
 	fmt.Printf("wrote %s: %d benchmarks, %d counters, time unit %.4fs\n",
 		out, len(rep.Benchmarks), len(rep.Counters), rep.TimeUnitSec)
 	for _, b := range rep.Benchmarks {
-		if b.Evaluations > 0 {
-			fmt.Printf("  %-16s evals=%5d compiles=%5d skeletons=%2d binds=%5d wall=%.3fs (%.0f eval/s)\n",
-				b.Name, b.Evaluations, b.Compilations, b.SkeletonCompiles, b.Binds, b.CompileSec, b.ReqPerSec)
-			continue
-		}
 		fmt.Printf("  %-16s swaps=%6.1f depth=%6.1f gates=%7.1f compile=%.4fs sim=%.4fs arg=%5.2f%%\n",
 			b.Name, b.Swaps, b.Depth, b.Gates, b.CompileSec, b.SimSec, b.ARGPct)
 	}

@@ -103,30 +103,6 @@ func (ps ParamSpec) Validate() error {
 	return nil
 }
 
-// Spec concretizes the parameterized spec for one angle set, with the
-// exact arithmetic Bind uses (cost phase −γ[l]·Weight, mixer β[l]) so the
-// per-angle-set pipeline remains a bit-identical oracle for the skeleton.
-func (ps ParamSpec) Spec(params qaoa.Params) (Spec, error) {
-	if err := ps.Validate(); err != nil {
-		return Spec{}, err
-	}
-	if err := params.Validate(); err != nil {
-		return Spec{}, err
-	}
-	if params.P() != ps.P {
-		return Spec{}, fmt.Errorf("compile: %d-level params for a %d-level param spec", params.P(), ps.P)
-	}
-	s := Spec{N: ps.N, Levels: make([]LevelSpec, ps.P)}
-	for l := range s.Levels {
-		terms := make([]ZZTerm, len(ps.Terms))
-		for k, t := range ps.Terms {
-			terms[k] = ZZTerm{U: t.U, V: t.V, Theta: -params.Gamma[l] * t.Weight}
-		}
-		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: params.Beta[l]}
-	}
-	return s, nil
-}
-
 // Sentinel encoding: each angle slot of the skeleton compile carries a
 // unique exact-integer float64 far outside any real angle schedule. Cost
 // slot (level l, term k) maps to costSentinelBase + l·T + k + 1 and the

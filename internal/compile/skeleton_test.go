@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,6 +14,30 @@ import (
 	"repro/internal/qaoa"
 	"repro/internal/router"
 )
+
+// Spec concretizes the parameterized spec for one angle set, with the
+// exact arithmetic Bind uses (cost phase −γ[l]·Weight, mixer β[l]), so a
+// full compile of the result is the bit-identical oracle for the skeleton.
+func (ps ParamSpec) Spec(params qaoa.Params) (Spec, error) {
+	if err := ps.Validate(); err != nil {
+		return Spec{}, err
+	}
+	if err := params.Validate(); err != nil {
+		return Spec{}, err
+	}
+	if params.P() != ps.P {
+		return Spec{}, fmt.Errorf("compile: %d-level params for a %d-level param spec", params.P(), ps.P)
+	}
+	s := Spec{N: ps.N, Levels: make([]LevelSpec, ps.P)}
+	for l := range s.Levels {
+		terms := make([]ZZTerm, len(ps.Terms))
+		for k, t := range ps.Terms {
+			terms[k] = ZZTerm{U: t.U, V: t.V, Theta: -params.Gamma[l] * t.Weight}
+		}
+		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: params.Beta[l]}
+	}
+	return s, nil
+}
 
 // requireSameResult asserts got is byte-identical to want: every gate of
 // both circuits, both layouts, and the routed metrics. This is the
@@ -311,7 +336,7 @@ func requireSameStructure(t *testing.T, label string, a, b *circuit.Circuit) {
 	}
 }
 
-func mustSkeletonBench(b *testing.B, p int) (*Skeleton, *qaoa.Problem, qaoa.Params) {
+func mustSkeletonBench(b *testing.B, p int) (*Skeleton, qaoa.Params) {
 	b.Helper()
 	g := graphs.MustRandomRegular(12, 3, rand.New(rand.NewSource(17)))
 	prob, err := qaoa.NewMaxCut(g)
@@ -331,13 +356,13 @@ func mustSkeletonBench(b *testing.B, p int) (*Skeleton, *qaoa.Problem, qaoa.Para
 		params.Gamma[l] = 0.8 / float64(l+1)
 		params.Beta[l] = 0.4 / float64(l+1)
 	}
-	return sk, prob, params
+	return sk, params
 }
 
 // BenchmarkSkeletonBindTo measures the per-evaluation cost of the bind
 // path; the CI gate pins its allocs/op at zero.
 func BenchmarkSkeletonBindTo(b *testing.B) {
-	sk, _, params := mustSkeletonBench(b, 2)
+	sk, params := mustSkeletonBench(b, 2)
 	var buf BindBuffer
 	if _, err := sk.BindTo(&buf, params); err != nil {
 		b.Fatal(err)
@@ -346,22 +371,6 @@ func BenchmarkSkeletonBindTo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sk.BindTo(&buf, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompilePerPoint is the work BindTo replaces: a full concrete
-// compile per angle set, re-seeded every iteration so the router work
-// counters stay deterministic.
-func BenchmarkCompilePerPoint(b *testing.B) {
-	_, prob, params := mustSkeletonBench(b, 2)
-	dev := device.Tokyo20()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileContext(ctx, prob, params, dev, PresetIC.Options(rand.New(rand.NewSource(17)))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -116,14 +116,12 @@ func TestCollectorSafeUnderSweepFanOut(t *testing.T) {
 	}
 }
 
-// The sweep A/B pair: the same (γ,β) landscape evaluated with a full
-// compile per grid point versus one skeleton compile per instance plus a
-// bind per point. The outputs are byte-identical (see sweep_test.go); the
-// difference is pure compile work, so this is the end-to-end wall-clock
-// evidence for parameterized compilation.
-func benchAngleSweep(b *testing.B, perPoint bool) {
+// BenchmarkAngleSweepBindPerPoint is the end-to-end angle-sweep cost: one
+// skeleton compile per instance plus a bind and an exact simulation per
+// (γ,β) grid point.
+func BenchmarkAngleSweepBindPerPoint(b *testing.B) {
 	cfg := AngleSweepConfig{Nodes: 10, Degree: 3, Instances: 1,
-		GammaSteps: 8, BetaSteps: 8, Seed: 17, CompilePerPoint: perPoint}
+		GammaSteps: 8, BetaSteps: 8, Seed: 17}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := AngleSweep(context.Background(), cfg); err != nil {
@@ -131,7 +129,3 @@ func benchAngleSweep(b *testing.B, perPoint bool) {
 		}
 	}
 }
-
-func BenchmarkAngleSweepCompilePerPoint(b *testing.B) { benchAngleSweep(b, true) }
-
-func BenchmarkAngleSweepBindPerPoint(b *testing.B) { benchAngleSweep(b, false) }

@@ -15,9 +15,8 @@ import (
 // compiled circuit, the workload an angle-tuning client sends at a
 // compiler. The circuit structure is angle-independent, so the sweep
 // compiles a routed skeleton once per instance and binds each grid point
-// into a reused buffer; CompilePerPoint recovers the legacy
-// full-compile-per-point flow for A/B benchmarking (the outputs are
-// byte-identical — see the skeleton oracle tests).
+// into a reused buffer; each bound circuit is byte-identical to a full
+// compile of that point.
 type AngleSweepConfig struct {
 	Nodes      int
 	Degree     int
@@ -26,10 +25,6 @@ type AngleSweepConfig struct {
 	BetaSteps  int // grid points over β ∈ (0, π/2]
 	Preset     compile.Preset
 	Seed       int64
-	// CompilePerPoint disables skeleton reuse: every grid point runs the
-	// full mapping/ordering/routing pipeline. Kept as the benchmark
-	// baseline and test oracle.
-	CompilePerPoint bool
 }
 
 // DefaultAngleSweep returns a sweep sized like one angle-tuning session:
@@ -72,37 +67,23 @@ func AngleSweep(ctx context.Context, cfg AngleSweepConfig) (*Table, error) {
 		}
 		best, bestGamma, bestBeta := math.Inf(-1), 0.0, 0.0
 
-		var skel *compile.Skeleton
-		var buf compile.BindBuffer
-		if !cfg.CompilePerPoint {
-			ps, err := compile.ParamSpecFromMaxCut(prob, 1)
-			if err != nil {
-				return nil, err
-			}
-			opts := cfg.Preset.Options(instanceRNG(cfg.Seed, i*10+1))
-			opts.Obs = Collector()
-			skel, err = compile.CompileSkeleton(ctx, ps, dev, opts)
-			if err != nil {
-				return nil, err
-			}
+		ps, err := compile.ParamSpecFromMaxCut(prob, 1)
+		if err != nil {
+			return nil, err
 		}
+		opts := cfg.Preset.Options(instanceRNG(cfg.Seed, i*10+1))
+		opts.Obs = Collector()
+		skel, err := compile.CompileSkeleton(ctx, ps, dev, opts)
+		if err != nil {
+			return nil, err
+		}
+		var buf compile.BindBuffer
 		for gi := 0; gi < cfg.GammaSteps; gi++ {
 			gamma := math.Pi * float64(gi+1) / float64(cfg.GammaSteps)
 			for bi := 0; bi < cfg.BetaSteps; bi++ {
 				beta := math.Pi / 2 * float64(bi+1) / float64(cfg.BetaSteps)
 				params := qaoa.Params{Gamma: []float64{gamma}, Beta: []float64{beta}}
-				var res *compile.Result
-				var err error
-				if cfg.CompilePerPoint {
-					// Fresh identically-seeded options per point: the legacy
-					// flow routes every point from the same rng state, which
-					// is what makes it byte-comparable to the bind path.
-					opts := cfg.Preset.Options(instanceRNG(cfg.Seed, i*10+1))
-					opts.Obs = Collector()
-					res, err = compile.CompileContext(ctx, prob, params, dev, opts)
-				} else {
-					res, err = skel.BindTo(&buf, params)
-				}
+				res, err := skel.BindTo(&buf, params)
 				if err != nil {
 					return nil, err
 				}

@@ -11,11 +11,11 @@ import (
 	"repro/internal/qaoa"
 )
 
-// The loop-level A/B pair the CI compile-bench job gates on: one hybrid
-// evaluation with the legacy full-compile path versus the skeleton bind
-// path. Each iteration builds a fresh evaluator seeded identically, so the
-// reported work counters (compilations/op, binds/op) are deterministic —
-// any growth is a real regression, not benchstat noise.
+// The loop-level benchmark the CI compile-bench job gates on: a batch of
+// hybrid evaluations over one skeleton compile. Each iteration builds a
+// fresh evaluator seeded identically, so the reported work counters
+// (compiles/op, binds/op) are deterministic — any growth is a real
+// regression, not benchstat noise.
 
 func benchProblem(b *testing.B) *qaoa.Problem {
 	b.Helper()
@@ -29,10 +29,11 @@ func benchProblem(b *testing.B) *qaoa.Problem {
 
 const benchEvalsPerOp = 8
 
-// benchEvaluations runs a fixed batch of evaluations per op — the shape of
-// an optimizer's inner loop — and reports the deterministic compile-work
-// counters.
-func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
+// BenchmarkLoopBindPerEval runs a fixed batch of evaluations per op — the
+// shape of an optimizer's inner loop — and reports the deterministic
+// compile-work counters.
+func BenchmarkLoopBindPerEval(b *testing.B) {
+	prob := benchProblem(b)
 	angles := make([]qaoa.Params, benchEvalsPerOp)
 	for i := range angles {
 		angles[i] = qaoa.Params{Gamma: []float64{0.1 * float64(i+1)}, Beta: []float64{0.07 * float64(i+1)}}
@@ -45,7 +46,6 @@ func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
 			Prob: prob, Dev: device.Melbourne15(), Preset: compile.PresetIC,
 			P: 1, Shots: 64, Trajectories: 2,
 			Rng: rand.New(rand.NewSource(31)), Obs: obs,
-			CompilePerEval: perEval,
 		}
 		for _, params := range angles {
 			if _, err := hw.Expectation(params); err != nil {
@@ -57,12 +57,4 @@ func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
 	n := float64(b.N)
 	b.ReportMetric(float64(obs.Counter(obsv.CntCompilations))/n, "compiles/op")
 	b.ReportMetric(float64(obs.Counter(obsv.CntCompileBinds))/n, "binds/op")
-}
-
-func BenchmarkLoopCompilePerEval(b *testing.B) {
-	benchEvaluations(b, benchProblem(b), true)
-}
-
-func BenchmarkLoopBindPerEval(b *testing.B) {
-	benchEvaluations(b, benchProblem(b), false)
 }

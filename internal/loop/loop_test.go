@@ -13,6 +13,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/optimize"
 	"repro/internal/qaoa"
+	"repro/internal/sim"
 )
 
 func triangleProblem(t *testing.T) *qaoa.Problem {
@@ -259,34 +260,41 @@ type fakeErr struct{}
 
 func (*fakeErr) Error() string { return "fake" }
 
-// The skeleton path must reproduce the legacy compile-per-evaluation path
-// exactly on the first evaluation: the skeleton compile consumes the rng
-// exactly as a concrete compile would, and the bound circuit is
-// byte-identical, so the first noisy sample stream coincides.
-func TestHardwareEvaluatorBindMatchesCompilePerEvalFirstCall(t *testing.T) {
+// The evaluator's first Expectation must equal a full concrete compile of
+// the same angles sampled from an identically seeded rng, bit for bit: the
+// skeleton compile consumes the rng exactly as CompileContext would, and
+// the bound circuit is byte-identical, so the noisy sample streams
+// coincide.
+func TestHardwareEvaluatorBindMatchesFullCompileFirstCall(t *testing.T) {
 	g := graphs.MustRandomRegular(8, 3, rand.New(rand.NewSource(12)))
 	prob, err := qaoa.NewMaxCut(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := qaoa.Params{Gamma: []float64{0.8}, Beta: []float64{0.3}}
-	make1 := func(perEval bool) *HardwareEvaluator {
-		return &HardwareEvaluator{
-			Prob: prob, Dev: device.Melbourne15(), Preset: compile.PresetIC,
-			P: 1, Shots: 256, Trajectories: 4, CompilePerEval: perEval,
-		}
+	const seed, shots, traj = 21, 256, 4
+	dev := device.Melbourne15()
+	hw := &HardwareEvaluator{
+		Prob: prob, Dev: dev, Preset: compile.PresetIC,
+		P: 1, Shots: shots, Trajectories: traj, Rng: rand.New(rand.NewSource(seed)),
 	}
-	bind, perEval := make1(false), make1(true)
-	got, err := bind.Expectation(params)
+	got, err := hw.Expectation(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := perEval.Expectation(params)
+
+	rng := rand.New(rand.NewSource(seed))
+	res, err := compile.CompileContext(context.Background(), prob, params, dev, compile.PresetIC.Options(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("first evaluation differs: bind %v, compile-per-eval %v", got, want)
+	samples := sim.SampleNoisy(res.Circuit, sim.NoiseFromDevice(dev), shots, traj, rng)
+	var sum float64
+	for _, y := range samples {
+		sum += prob.Cost(res.ExtractLogical(y))
+	}
+	if want := sum / float64(len(samples)); got != want {
+		t.Fatalf("first evaluation differs: bind %v, full compile %v", got, want)
 	}
 }
 

@@ -78,18 +78,6 @@ type Benchmark struct {
 	// second-and-later requests per structure that were served by binding a
 	// cached routed skeleton (qaoad-load's sweep phase; 0 when not run).
 	SkeletonHitRate float64 `json:"skeleton_hit_rate,omitempty"`
-
-	// Parameterized-compilation evidence fields, set by the qaoa-bench
-	// -parambind records. Evaluations is the number of objective
-	// evaluations (loop) or grid points (sweep) the record's workload ran;
-	// Compilations, SkeletonCompiles and Binds are the compile-work
-	// counter deltas over that workload. All deterministic under the fixed
-	// seed, so a before/after pair proves the compile-work reduction
-	// exactly. All omitempty — no schema bump.
-	Evaluations      int64 `json:"evaluations,omitempty"`
-	Compilations     int64 `json:"compilations,omitempty"`
-	SkeletonCompiles int64 `json:"skeleton_compiles,omitempty"`
-	Binds            int64 `json:"binds,omitempty"`
 }
 
 // Report is the stable machine-readable metrics artifact. It combines the

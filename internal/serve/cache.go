@@ -36,13 +36,12 @@ type outcome struct {
 	deviceID    string
 	// Observability facts of the compile that produced the artifact: how
 	// far the fallback ladder descended and the per-pass durations, surfaced
-	// on wide-event lines and inspector records (cache hits report the
-	// original compile's pass times).
+	// on wide-event lines and inspector records (only the requests that
+	// waited on the compile flight report the pass times).
 	fallbackDepth int
 	mapTime       time.Duration
 	orderTime     time.Duration
 	routeTime     time.Duration
-	compileTime   time.Duration
 	// trace holds the compile's decision-level events when the server runs
 	// with Config.TraceRequests; nil otherwise.
 	trace []trace.Event

@@ -296,3 +296,64 @@ func TestInspectorUpdateAfterEndIsNoop(t *testing.T) {
 		t.Errorf("activeCount = %d after end", ins.activeCount())
 	}
 }
+
+// Only the request that waited on a compile flight reports its map/order/
+// route times; a full-key hit and a skeleton hit did no pass work and
+// report zero on both the wide event and the inspector record.
+func TestPassTimesOnlyOnCompileFlight(t *testing.T) {
+	logSink := &lockedBuffer{}
+	s, ts, _ := newTestServer(t, Config{Workers: 2, Log: obsv.NewLogger(logSink)})
+
+	cold := angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2})
+	skelHit := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.1})
+	for _, req := range []CompileRequest{cold, skelHit, cold} {
+		if st, _, fail := postCompile(t, ts.URL, req); st != http.StatusOK {
+			t.Fatalf("status %d: %+v", st, fail)
+		}
+	}
+
+	class := func(cacheHit, skeletonHit bool) string {
+		switch {
+		case skeletonHit:
+			return "skeleton hit"
+		case cacheHit:
+			return "full-key hit"
+		}
+		return "cold"
+	}
+	check := func(surface, kind string, mapMS, orderMS, routeMS float64) {
+		t.Helper()
+		if kind == "cold" {
+			if mapMS+orderMS+routeMS <= 0 {
+				t.Errorf("%s: cold request reports no pass time (map %v order %v route %v)", surface, mapMS, orderMS, routeMS)
+			}
+			return
+		}
+		if mapMS != 0 || orderMS != 0 || routeMS != 0 {
+			t.Errorf("%s: %s reports pass times map %v order %v route %v, want 0", surface, kind, mapMS, orderMS, routeMS)
+		}
+	}
+
+	seen := map[string]int{}
+	for _, line := range waitForLines(t, logSink, 3) {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not one JSON object: %v\n%s", err, line)
+		}
+		num := func(field string) float64 { v, _ := ev[field].(float64); return v }
+		kind := class(ev[obsv.FieldCacheHit] == true, ev[obsv.FieldSkeletonHit] == true)
+		seen["log "+kind]++
+		check("wide event", kind, num(obsv.FieldMapMS), num(obsv.FieldOrderMS), num(obsv.FieldRouteMS))
+	}
+	_, recent := s.InspectorSnapshot()
+	for _, rec := range recent {
+		kind := class(rec.CacheHit, rec.SkeletonHit)
+		seen["inspector "+kind]++
+		check("inspector", kind, rec.MapMS, rec.OrderMS, rec.RouteMS)
+	}
+	for _, kind := range []string{"cold", "skeleton hit", "full-key hit"} {
+		if seen["log "+kind] != 1 || seen["inspector "+kind] != 1 {
+			t.Errorf("%s: %d wide events, %d inspector records, want 1 each", kind, seen["log "+kind], seen["inspector "+kind])
+		}
+	}
+}

@@ -458,14 +458,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // fillOutcome copies a compiled outcome's observable facts onto the request
-// record.
+// record. The per-pass times are not among them: only a request that waited
+// on the compile flight reports those (see respondFlight), so a cache hit
+// shows map/order/route at zero instead of the original compile's cost.
 func (rs *reqState) fillOutcome(out *outcome) {
 	rs.rec.PresetEffective = out.effective
 	rs.rec.Attempts = out.attempts
 	rs.rec.FallbackDepth = out.fallbackDepth
-	rs.rec.MapMS = durMS(out.mapTime)
-	rs.rec.OrderMS = durMS(out.orderTime)
-	rs.rec.RouteMS = durMS(out.routeTime)
 	rs.rec.Swaps = out.swaps
 	rs.rec.Depth = out.depth
 	rs.rec.Gates = out.gates
@@ -554,6 +553,9 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 		}
 		s.obs.Inc(obsv.CntServeOK)
 		rs.fillOutcome(out)
+		rs.rec.MapMS = durMS(out.mapTime)
+		rs.rec.OrderMS = durMS(out.orderTime)
+		rs.rec.RouteMS = durMS(out.routeTime)
 		writeJSON(w, http.StatusOK, buildResponse(p, out, false))
 		s.finishRequest(rs, http.StatusOK, "ok", "")
 	case errors.Is(f.err, errShed):
@@ -727,7 +729,6 @@ func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, r
 		mapTime:       res.MapTime,
 		orderTime:     res.OrderTime,
 		routeTime:     res.RouteTime,
-		compileTime:   res.CompileTime,
 		trace:         trEvents,
 	}
 	out.degraded = rerouted || res.Fallback.Degraded

@@ -7,16 +7,6 @@ import (
 
 // Commutation analysis (the freedom the compilation passes exploit).
 
-// CircuitDAG is the commutation-relaxed dependency graph of a circuit.
-type CircuitDAG = dag.DAG
-
-// Commute reports whether two gates can be exchanged without changing the
-// circuit's unitary (conservative: never a false positive).
-func Commute(a, b Gate) bool { return dag.Commute(a, b) }
-
-// NewDAG builds the commutation-aware dependency graph of c.
-func NewDAG(c *Circuit) *CircuitDAG { return dag.New(c) }
-
 // CommutationDepth returns the depth achievable by re-ordering commuting
 // gates on fully-connected hardware — a lower bound for schedulers.
 func CommutationDepth(c *Circuit) int { return dag.New(c).Depth() }
@@ -26,13 +16,6 @@ func CommutationDepth(c *Circuit) int { return dag.New(c).Depth() }
 func CommutingGroups(c *Circuit) [][]int { return dag.New(c).CommutingGroups() }
 
 // Compiling external circuits.
-
-// SpecFromCircuit recognizes a QAOA-shaped logical circuit (H prefix, p ×
-// [commuting diagonal block + uniform RX mixer], optional measurements) and
-// extracts its compiler spec.
-func SpecFromCircuit(c *Circuit) (CompileSpec, bool, error) {
-	return compile.SpecFromCircuit(c)
-}
 
 // CompileCircuit compiles an externally built QAOA-shaped circuit (e.g.
 // imported via ImportQASM) through the configured methodology.

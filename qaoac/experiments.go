@@ -5,26 +5,6 @@ import "repro/internal/exp"
 // ExpTable is a labelled numeric result grid for one figure panel.
 type ExpTable = exp.Table
 
-// Experiment configurations (defaults reproduce the paper's workload sizes).
-type (
-	// Fig7Config parameterizes the initial-mapping comparison of Fig. 7.
-	Fig7Config = exp.Fig7Config
-	// Fig8Config parameterizes the problem-size sweep of Fig. 8.
-	Fig8Config = exp.Fig8Config
-	// Fig9Config parameterizes the ordering comparison of Fig. 9.
-	Fig9Config = exp.Fig9Config
-	// Fig10Config parameterizes the VIC/IC success-probability study of Fig. 10.
-	Fig10Config = exp.Fig10Config
-	// Fig11aConfig parameterizes the Fig. 11(a) performance summary.
-	Fig11aConfig = exp.Fig11aConfig
-	// Fig11bConfig parameterizes the Fig. 11(b) ARG validation.
-	Fig11bConfig = exp.Fig11bConfig
-	// Fig12Config parameterizes the packing-density study of Fig. 12.
-	Fig12Config = exp.Fig12Config
-	// DiscussionConfig parameterizes the §VI ring-architecture comparison.
-	DiscussionConfig = exp.DiscussionConfig
-)
-
 // Default experiment configurations matching the paper.
 var (
 	DefaultFig7       = exp.DefaultFig7

@@ -1,7 +1,8 @@
 package qaoac
 
 import (
-	"repro/internal/crosstalk"
+	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/exp"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -11,7 +12,7 @@ import (
 
 // DeviceFromJSON loads a custom device (coupling map + calibration) from
 // its JSON description.
-func DeviceFromJSON(data []byte) (*Device, error) { return deviceFromJSON(data) }
+func DeviceFromJSON(data []byte) (*Device, error) { return device.FromJSON(data) }
 
 // OpenQASM interchange.
 
@@ -21,70 +22,24 @@ func ExportQASM(c *Circuit) string { return qasm.Export(c) }
 // ImportQASM parses the OpenQASM 2.0 subset ExportQASM emits.
 func ImportQASM(src string) (*Circuit, error) { return qasm.Import(src) }
 
-// Crosstalk-aware scheduling (§VI).
-
-// PronePairs is a set of coupler pairs that interfere when driven
-// simultaneously.
-type PronePairs = crosstalk.PronePairs
-
-// NewPronePairs returns an empty prone-pair set.
-func NewPronePairs() *PronePairs { return crosstalk.NewPronePairs() }
-
-// CrosstalkSchedule assigns time steps so no prone coupler pair is
-// concurrent; it returns per-gate steps and the schedule depth.
-func CrosstalkSchedule(c *Circuit, prone *PronePairs) ([]int, int) {
-	return crosstalk.Schedule(c, prone)
-}
-
-// CrosstalkDepth returns the crosstalk-aware schedule depth of c.
-func CrosstalkDepth(c *Circuit, prone *PronePairs) int { return crosstalk.Depth(c, prone) }
-
 // DrawCircuit renders a circuit as ASCII art (one wire per qubit).
 func DrawCircuit(c *Circuit) string { return c.Draw() }
 
 // IBMDurations returns the superconducting gate-timing model; pair with
 // Circuit.ExecutionTime for wall-clock estimates.
-func IBMDurations() Durations { return circuitIBMDurations() }
+func IBMDurations() Durations { return circuit.IBMDurations() }
 
 // Durations maps gate kinds to execution times.
-type Durations = circuitDurations
+type Durations = circuit.Durations
 
 // Circuit optimization.
 
 // Peephole applies local gate cancellation and rotation merging, preserving
 // the circuit's unitary up to global phase.
-func Peephole(c *Circuit) *Circuit { return circuitPeephole(c) }
+func Peephole(c *Circuit) *Circuit { return circuit.Peephole(c) }
 
-// Optimal-routing baseline.
-
-// OptimalSwaps computes the exact minimum SWAP count for a set of two-qubit
-// gates on a tiny device (≤ 8 physical qubits) — the constraint-solver-style
-// baseline of §III, for validating the heuristic router.
-var OptimalSwaps = routerOptimalSwaps
-
-// Extension experiments (beyond the paper's printed figures).
-type (
-	// ExtLevelsConfig parameterizes the p-scaling study.
-	ExtLevelsConfig = exp.ExtLevelsConfig
-	// ExtMappersConfig parameterizes the initial-mapping ablation.
-	ExtMappersConfig = exp.ExtMappersConfig
-	// ExtCrosstalkConfig parameterizes the crosstalk-serialization study.
-	ExtCrosstalkConfig = exp.ExtCrosstalkConfig
-	// ExtOptimizeConfig parameterizes the peephole-gains study.
-	ExtOptimizeConfig = exp.ExtOptimizeConfig
-	// ExtDevicesConfig parameterizes the topology-comparison study.
-	ExtDevicesConfig = exp.ExtDevicesConfig
-	// ExtOrderingConfig parameterizes the IP-vs-Vizing ordering ablation.
-	ExtOrderingConfig = exp.ExtOrderingConfig
-	// ExtMitigationConfig parameterizes the readout-mitigation study.
-	ExtMitigationConfig = exp.ExtMitigationConfig
-	// ExtWorkloadsConfig parameterizes the workload-family study.
-	ExtWorkloadsConfig = exp.ExtWorkloadsConfig
-	// AngleSweepConfig parameterizes the (γ,β) landscape sweep.
-	AngleSweepConfig = exp.AngleSweepConfig
-)
-
-// Defaults and runners for the extension experiments.
+// Defaults and runners for the extension experiments (beyond the paper's
+// printed figures).
 var (
 	DefaultExtLevels     = exp.DefaultExtLevels
 	DefaultExtMappers    = exp.DefaultExtMappers
@@ -111,18 +66,12 @@ var (
 // SampleHistogram counts measurement outcomes.
 func SampleHistogram(samples []uint64) map[uint64]int { return sim.Histogram(samples) }
 
-// TotalVariation is the TV distance between two outcome histograms.
-func TotalVariation(p, q map[uint64]int) float64 { return sim.TotalVariation(p, q) }
-
 // MitigateReadout inverts independent per-qubit readout errors on a
 // measured histogram (tensored measurement-error mitigation), returning a
 // quasi-probability vector over all 2^n outcomes.
 func MitigateReadout(counts map[uint64]int, n int, readout []float64) ([]float64, error) {
 	return sim.MitigateReadout(counts, n, readout)
 }
-
-// ClampDistribution projects a quasi-probability vector onto the simplex.
-func ClampDistribution(p []float64) []float64 { return sim.ClampDistribution(p) }
 
 // ExpectationFromDistribution evaluates a diagonal observable against an
 // outcome distribution.

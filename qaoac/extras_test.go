@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/circuit"
 )
 
 func TestFacadeQASMRoundTrip(t *testing.T) {
@@ -26,24 +28,8 @@ func TestFacadeQASMRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeCrosstalk(t *testing.T) {
-	bell := NewCircuit(4).Append(
-		NewCNOT(0, 1),
-		NewCNOT(2, 3),
-	)
-	prone := NewPronePairs()
-	prone.Add(0, 1, 2, 3)
-	steps, depth := CrosstalkSchedule(bell, prone)
-	if depth != 2 || steps[0] == steps[1] {
-		t.Errorf("crosstalk schedule steps=%v depth=%d", steps, depth)
-	}
-	if CrosstalkDepth(bell, nil) != 1 {
-		t.Error("no-prone depth should be 1")
-	}
-}
-
 func TestFacadeDrawAndDurations(t *testing.T) {
-	c := NewCircuit(2).Append(NewH(0), NewCNOT(0, 1))
+	c := circuit.New(2).Append(circuit.NewH(0), circuit.NewCNOT(0, 1))
 	art := DrawCircuit(c)
 	if !strings.Contains(art, "⊕") || !strings.Contains(art, "q1:") {
 		t.Errorf("draw output:\n%s", art)
@@ -55,18 +41,9 @@ func TestFacadeDrawAndDurations(t *testing.T) {
 }
 
 func TestFacadePeepholeAndOptimalSwaps(t *testing.T) {
-	c := NewCircuit(2).Append(NewH(0), NewH(0))
+	c := circuit.New(2).Append(circuit.NewH(0), circuit.NewH(0))
 	if got := Peephole(c); got.Len() != 0 {
 		t.Errorf("peephole left %d gates", got.Len())
-	}
-	dev := LinearDevice(4)
-	layout := TrivialLayout(4, 4)
-	swaps, err := OptimalSwaps([][2]int{{0, 3}}, dev, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swaps != 2 {
-		t.Errorf("optimal swaps = %d, want 2", swaps)
 	}
 }
 
@@ -88,23 +65,6 @@ func TestFacadeDeviceJSON(t *testing.T) {
 }
 
 func TestFacadeIsing(t *testing.T) {
-	m := NewIsing(3)
-	if err := m.SetCoupling(0, 1, 1.5); err != nil {
-		t.Fatal(err)
-	}
-	if IsingSpin(0, 0) != 1 || IsingSpin(1, 0) != -1 {
-		t.Error("spin convention broken")
-	}
-	g := NewGraph(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	mc, offset := IsingMaxCut(g)
-	if offset != 1 {
-		t.Errorf("maxcut offset = %v", offset)
-	}
-	if cut := offset - mc.Energy(0b010); cut != 2 {
-		t.Errorf("cut(010) = %v, want 2", cut)
-	}
 	np, off2 := IsingNumberPartition([]float64{1, 1})
 	if off2 != 2 {
 		t.Errorf("partition offset = %v", off2)
@@ -112,19 +72,8 @@ func TestFacadeIsing(t *testing.T) {
 	if e := np.Energy(0b01); e != -2 {
 		t.Errorf("balanced partition energy = %v, want -2", e)
 	}
-	q, off3, err := IsingFromQUBO([][]float64{{1, 0}, {0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// f(x) = x0: f(0)=0, f(1)=1.
-	if v := off3 + q.Energy(0); v != 0 {
-		t.Errorf("QUBO f(0) = %v", v)
-	}
-	if v := off3 + q.Energy(1); v != 1 {
-		t.Errorf("QUBO f(1) = %v", v)
-	}
 	rng := rand.New(rand.NewSource(2))
-	res, err := CompileIsing(mc, P1Params(0.4, 0.2), Melbourne15(), PresetVIC.Options(rng))
+	res, err := CompileIsing(np, P1Params(0.4, 0.2), Melbourne15(), PresetVIC.Options(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,18 +83,15 @@ func TestFacadeIsing(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
-	c := NewCircuit(4)
+	c := circuit.New(4)
 	for q := 0; q < 4; q++ {
-		c.Append(NewH(q))
+		c.Append(circuit.NewH(q))
 	}
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}, {0, 3}} {
-		c.Append(NewCPhase(e[0], e[1], 0.5))
+		c.Append(circuit.NewCPhase(e[0], e[1], 0.5))
 	}
 	for q := 0; q < 4; q++ {
-		c.Append(NewRX(q, 0.4))
-	}
-	if !Commute(NewCPhase(0, 1, 0.3), NewCPhase(1, 2, 0.7)) {
-		t.Error("ZZ gates must commute")
+		c.Append(circuit.NewRX(q, 0.4))
 	}
 	if d := CommutationDepth(c); d >= c.Depth() {
 		t.Errorf("commutation depth %d not below naive %d", d, c.Depth())
@@ -153,37 +99,12 @@ func TestFacadeAnalysis(t *testing.T) {
 	if groups := CommutingGroups(c); len(groups) == 0 {
 		t.Error("no commuting groups found")
 	}
-	spec, _, err := SpecFromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.N != 4 || len(spec.Levels) != 1 {
-		t.Errorf("spec shape %d/%d", spec.N, len(spec.Levels))
-	}
 	res, err := CompileCircuit(c, Tokyo20(), PresetIC.Options(rand.New(rand.NewSource(3))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Tokyo20().VerifyCompliant(res.Circuit); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFacadeLoop(t *testing.T) {
-	g := NewGraph(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	prob, err := NewMaxCut(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := OptimizeLoop(&SimEvaluator{Prob: prob, P: 1}, prob,
-		LoopOptions{Rng: rand.New(rand.NewSource(4)), Restarts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Expectation < 1.0 {
-		t.Errorf("loop expectation %v too low", res.Expectation)
 	}
 }
 
@@ -202,7 +123,7 @@ func TestFacadeExtConfigs(t *testing.T) {
 }
 
 func TestFacadePauliExpectation(t *testing.T) {
-	c := NewCircuit(2).Append(NewH(0), NewCNOT(0, 1))
+	c := circuit.New(2).Append(circuit.NewH(0), circuit.NewCNOT(0, 1))
 	s := Simulate(c)
 	v, err := s.ExpectationPauli("ZZ")
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
-	"repro/internal/loop"
 )
 
 // Fault tolerance: deadlines, degraded devices and graceful preset
@@ -15,35 +14,13 @@ import (
 
 // CompileContext is Compile honoring a deadline/cancellation: the context
 // is checked between passes and between routed layers, and pass panics are
-// converted into *PanicError instead of crossing the API boundary.
+// converted into errors instead of crossing the API boundary.
 func CompileContext(ctx context.Context, prob *Problem, params Params, dev *Device, opts CompileOptions) (*CompileResult, error) {
 	return compile.CompileContext(ctx, prob, params, dev, opts)
 }
 
 // FallbackOptions tunes CompileResilient's retry/degradation policy.
 type FallbackOptions = compile.FallbackOptions
-
-// FallbackInfo records which preset a resilient compilation actually ran
-// and why (attached to CompileResult.Fallback).
-type FallbackInfo = compile.FallbackInfo
-
-// FallbackAttempt is one recorded compilation attempt of the ladder.
-type FallbackAttempt = compile.Attempt
-
-// LadderError reports that every rung of the degradation ladder failed.
-type LadderError = compile.LadderError
-
-// PanicError is a compiler-pass panic converted into an error at the
-// compile boundary.
-type PanicError = compile.PanicError
-
-// CompileHook is an optional callback invoked at pass boundaries
-// (CompileOptions.Hook) — the fault-injection seam.
-type CompileHook = compile.Hook
-
-// Ladder returns the degradation sequence tried for a preset, starting with
-// the preset itself (e.g. VIC → IC → IP → NAIVE).
-func Ladder(p Preset) []Preset { return compile.Ladder(p) }
 
 // CompileResilient compiles with retries and graceful preset degradation:
 // each ladder rung is retried with backoff on fresh seeds before stepping
@@ -58,30 +35,12 @@ func CompileResilient(ctx context.Context, prob *Problem, params Params, dev *De
 // dropped couplings, deleted/drifted calibration), driven by a seed.
 type FaultSpec = faultinject.Spec
 
-// FaultReport lists what a FaultSpec application actually degraded.
-type FaultReport = faultinject.Report
-
-// PassFaults builds a CompileHook that deterministically errors, panics or
-// stalls — for exercising the recovery and deadline machinery.
-type PassFaults = faultinject.PassFaults
-
-// ErrInjected is the sentinel error returned by fault-injecting pass hooks.
-var ErrInjected = faultinject.ErrInjected
-
 // Experiment fault reports.
 
 // PointReport is the structured failure summary of one partially-failed
 // experiment sweep point.
 type PointReport = exp.PointReport
 
-// InstanceFailure is one persistent instance×preset compilation failure.
-type InstanceFailure = exp.InstanceFailure
-
 // DrainFaultReports returns and clears the fault reports accumulated by the
 // experiment harness since the previous drain.
 func DrainFaultReports() []*PointReport { return exp.DrainFaultReports() }
-
-// OptimizeLoopContext is OptimizeLoop honoring a deadline/cancellation.
-func OptimizeLoopContext(ctx context.Context, ev Evaluator, prob *Problem, opts LoopOptions) (LoopResult, error) {
-	return loop.RunContext(ctx, ev, prob, opts)
-}

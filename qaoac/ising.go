@@ -13,34 +13,11 @@ import (
 // IsingModel is an Ising Hamiltonian over spins s ∈ {−1,+1}.
 type IsingModel = ising.Model
 
-// IsingCoupling is one quadratic term of an IsingModel.
-type IsingCoupling = ising.Coupling
-
-// CompileSpec is the compiler-facing description of a generic commuting
-// cost Hamiltonian (one entry per QAOA level).
-type CompileSpec = compile.Spec
-
-// ZZTerm is one commuting two-qubit cost gate of a CompileSpec.
-type ZZTerm = compile.ZZTerm
-
-// NewIsing returns a zero Hamiltonian over n spins.
-func NewIsing(n int) *IsingModel { return ising.New(n) }
-
-// IsingFromQUBO converts a QUBO objective into an Ising model and offset
-// with f(x) = offset + Energy(x).
-func IsingFromQUBO(q [][]float64) (*IsingModel, float64, error) { return ising.FromQUBO(q) }
-
-// IsingMaxCut returns the Ising form of MaxCut: cut = offset − Energy.
-func IsingMaxCut(g *Graph) (*IsingModel, float64) { return ising.MaxCut(g) }
-
 // IsingNumberPartition returns the Ising form of two-way number
 // partitioning: (Σ s_i·w_i)² = offset + Energy.
 func IsingNumberPartition(weights []float64) (*IsingModel, float64) {
 	return ising.NumberPartition(weights)
 }
-
-// IsingSpin returns the spin value s_i ∈ {−1,+1} of basis state x.
-func IsingSpin(x uint64, i int) float64 { return ising.Spin(x, i) }
 
 // CompileIsing lowers the QAOA circuit for an arbitrary Ising Hamiltonian
 // onto dev with the configured methodology.

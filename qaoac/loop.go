@@ -2,28 +2,8 @@ package qaoac
 
 import "repro/internal/loop"
 
-// The quantum-classical hybrid optimization loop (§II): a derivative-free
-// classical optimizer drives a quantum evaluator — either the exact
-// simulator or the full compile-and-noisy-sample pipeline.
-
-// Evaluator scores one QAOA parameter point.
-type Evaluator = loop.Evaluator
-
-// SimEvaluator evaluates exactly on the noiseless simulator.
-type SimEvaluator = loop.SimEvaluator
-
-// HardwareEvaluator compiles for a device and samples its noisy execution —
-// hardware-in-the-loop against the simulator substitute.
+// HardwareEvaluator scores one QAOA parameter point in the quantum-classical
+// hybrid optimization loop (§II): it compiles for a device once and samples
+// the noisy execution of each bound angle set — hardware-in-the-loop
+// against the simulator substitute.
 type HardwareEvaluator = loop.HardwareEvaluator
-
-// LoopOptions tunes OptimizeLoop.
-type LoopOptions = loop.Options
-
-// LoopResult is the outcome of a hybrid optimization run.
-type LoopResult = loop.Result
-
-// OptimizeLoop maximizes the evaluator's expectation over the 2p angles with
-// multi-start Nelder–Mead.
-func OptimizeLoop(ev Evaluator, prob *Problem, opts LoopOptions) (LoopResult, error) {
-	return loop.Run(ev, prob, opts)
-}

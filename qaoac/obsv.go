@@ -77,19 +77,6 @@ func RunBenchSuite(ctx context.Context, cfg BenchSuiteConfig, rep *BenchReport) 
 	return exp.RunBenchSuite(ctx, cfg, rep)
 }
 
-// ParamBindConfig sizes the parameterized-compilation evidence suite.
-type ParamBindConfig = exp.ParamBindConfig
-
-// DefaultParamBind returns the CI-scale evidence-suite configuration.
-func DefaultParamBind() ParamBindConfig { return exp.DefaultParamBind() }
-
-// RunParamBindSuite runs the hybrid-loop and angle-sweep workloads in the
-// configured compilation mode and appends their records to rep (see
-// exp.RunParamBindSuite).
-func RunParamBindSuite(ctx context.Context, cfg ParamBindConfig, rep *BenchReport) error {
-	return exp.RunParamBindSuite(ctx, cfg, rep)
-}
-
 // CalibrateTimeUnit times the fixed CPU-bound calibration workload whose
 // duration (Report.TimeUnitSec) normalizes compile times across machines.
 func CalibrateTimeUnit() float64 { return exp.CalibrateTimeUnit() }

@@ -40,16 +40,6 @@ import (
 	"repro/internal/sim"
 )
 
-// indirections used by extras.go to keep that file import-light.
-var (
-	circuitPeephole     = circuit.Peephole
-	routerOptimalSwaps  = router.OptimalSwaps
-	circuitIBMDurations = circuit.IBMDurations
-	deviceFromJSON      = device.FromJSON
-)
-
-type circuitDurations = circuit.Durations
-
 // Problem graphs.
 
 // Graph is a simple undirected graph (problem instance or coupling map).
@@ -57,9 +47,6 @@ type Graph = graphs.Graph
 
 // Edge is an undirected graph edge.
 type Edge = graphs.Edge
-
-// NewGraph returns an empty graph on n vertices.
-func NewGraph(n int) *Graph { return graphs.New(n) }
 
 // ErdosRenyi samples a G(n, p) random graph.
 func ErdosRenyi(n int, p float64, rng *rand.Rand) *Graph { return graphs.ErdosRenyi(n, p, rng) }
@@ -69,9 +56,6 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) { return graphs.Ran
 
 // MustRandomRegular is RandomRegular panicking on error.
 func MustRandomRegular(n, d int, rng *rand.Rand) *Graph { return graphs.MustRandomRegular(n, d, rng) }
-
-// MaxCutExact solves MaxCut exactly by exhaustive search (n ≤ 26).
-func MaxCutExact(g *Graph) (int, uint64, error) { return graphs.MaxCutExact(g) }
 
 // MaxCutAnneal approximates MaxCut by simulated annealing — the optimum
 // estimate for instances beyond the exhaustive limit.
@@ -83,22 +67,9 @@ func MaxCutAnneal(g *Graph, sweeps int, rng *rand.Rand) (int, []bool) {
 // the optimal-layer-count scheduler for commuting cost blocks.
 func EdgeColoring(g *Graph) ([]int, error) { return graphs.EdgeColoring(g) }
 
-// WattsStrogatz samples a small-world workload graph.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) (*Graph, error) {
-	return graphs.WattsStrogatz(n, k, beta, rng)
-}
-
-// BarabasiAlbert samples a scale-free (hub-heavy) workload graph.
-func BarabasiAlbert(n, m int, rng *rand.Rand) (*Graph, error) {
-	return graphs.BarabasiAlbert(n, m, rng)
-}
-
 // ParseEdgeList reads a problem graph from the "n <count>" + "u v [w]" text
-// format; FormatEdgeList is its inverse.
+// format.
 func ParseEdgeList(src string) (*Graph, error) { return graphs.ParseEdgeList(src) }
-
-// FormatEdgeList renders a graph in the ParseEdgeList text format.
-func FormatEdgeList(g *Graph) string { return graphs.FormatEdgeList(g) }
 
 // QAOA problems and circuits.
 
@@ -146,23 +117,13 @@ func OptimizeP1(g *Graph) (gamma, beta, value float64, err error) {
 // Circuit is the gate-list IR.
 type Circuit = circuit.Circuit
 
-// Gate is a single circuit operation.
-type Gate = circuit.Gate
-
 // Layout is a logical-to-physical qubit assignment.
 type Layout = router.Layout
-
-// ErrTrialsWithoutRng reports stochastic routing trials requested without a
-// seed source (router misuse; compare with errors.Is).
-var ErrTrialsWithoutRng = router.ErrTrialsWithoutRng
 
 // Devices.
 
 // Device models target hardware (coupling graph + calibration).
 type Device = device.Device
-
-// Calibration holds device error rates.
-type Calibration = device.Calibration
 
 // Tokyo20 returns the 20-qubit ibmq_20_tokyo topology.
 func Tokyo20() *Device { return device.Tokyo20() }
@@ -252,59 +213,3 @@ func SampleNoisy(c *Circuit, nm *NoiseModel, shots, trajectories int, rng *rand.
 
 // NoiseFromDevice derives a noise model from a device calibration.
 func NoiseFromDevice(d *Device) *NoiseModel { return sim.NoiseFromDevice(d) }
-
-// SimExecutor caches one circuit's fused program and ideal final state so
-// repeated ideal and noisy sampling of the same circuit share work (the
-// fault-free trajectories of SampleNoisy reuse the ideal state directly).
-type SimExecutor = sim.Executor
-
-// NewSimExecutor fuses c into an executor; use it instead of the one-shot
-// Simulate/SampleIdeal/SampleNoisy helpers when sampling a circuit more
-// than once.
-func NewSimExecutor(c *Circuit) *SimExecutor { return sim.NewExecutor(c) }
-
-// Gate constructors (see package circuit for the full set).
-
-// NewH returns a Hadamard on q.
-func NewH(q int) Gate { return circuit.NewH(q) }
-
-// NewX returns a Pauli-X on q.
-func NewX(q int) Gate { return circuit.NewX(q) }
-
-// NewRX returns an X rotation by theta on q.
-func NewRX(q int, theta float64) Gate { return circuit.NewRX(q, theta) }
-
-// NewRZ returns a Z rotation by theta on q.
-func NewRZ(q int, theta float64) Gate { return circuit.NewRZ(q, theta) }
-
-// NewCNOT returns a CNOT with control c and target t.
-func NewCNOT(c, t int) Gate { return circuit.NewCNOT(c, t) }
-
-// NewCPhase returns the commuting QAOA cost gate exp(-i θ/2 Z⊗Z).
-func NewCPhase(a, b int, theta float64) Gate { return circuit.NewCPhase(a, b, theta) }
-
-// NewSwap returns a SWAP between a and b.
-func NewSwap(a, b int) Gate { return circuit.NewSwap(a, b) }
-
-// NewMeasure returns a computational-basis measurement of q.
-func NewMeasure(q int) Gate { return circuit.NewMeasure(q) }
-
-// NewCircuit returns an empty circuit over n qubits.
-func NewCircuit(n int) *Circuit { return circuit.New(n) }
-
-// TrivialLayout maps logical qubit i to physical qubit i.
-func TrivialLayout(nLogical, nPhysical int) *Layout {
-	return router.TrivialLayout(nLogical, nPhysical)
-}
-
-// QAOAExpectation simulates the logical QAOA circuit exactly and returns
-// ⟨C⟩ (≤ 24 qubits).
-func QAOAExpectation(p *Problem, params Params) (float64, error) {
-	return qaoa.Expectation(p, params)
-}
-
-// ExpectationSampled estimates ⟨C⟩ and its standard error from measurement
-// samples.
-func ExpectationSampled(p *Problem, samples []uint64) (mean, stderr float64, err error) {
-	return qaoa.ExpectationSampled(p, samples)
-}

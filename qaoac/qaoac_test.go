@@ -113,38 +113,4 @@ func TestPublicAPIDevicesAndMappings(t *testing.T) {
 	if len(order) != g.M() {
 		t.Errorf("IP order covers %d of %d edges", len(order), g.M())
 	}
-	if best, _, err := MaxCutExact(g); err != nil || best <= 0 {
-		t.Errorf("MaxCutExact = %d, %v", best, err)
-	}
-}
-
-func TestQAOAExpectationAndSampled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := MustRandomRegular(8, 3, rng)
-	prob, err := NewMaxCut(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := P1Params(0.5, 0.2)
-	exact, err := QAOAExpectation(prob, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ExpectationP1Analytic(g, 0.5, 0.2); math.Abs(exact-want) > 1e-8 {
-		t.Errorf("QAOAExpectation = %v, want %v", exact, want)
-	}
-	c, err := BuildCircuit(prob, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, stderr, err := ExpectationSampled(prob, SampleIdeal(c, 20000, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-exact) > 5*stderr+0.05 {
-		t.Errorf("sampled mean %v ± %v far from exact %v", mean, stderr, exact)
-	}
-	if stderr <= 0 {
-		t.Error("stderr not positive")
-	}
 }

@@ -21,9 +21,6 @@ type Tracer = trace.Tracer
 // TraceEvent is one record of the stream.
 type TraceEvent = trace.Event
 
-// TraceMeta describes the compilation a trace belongs to (first event).
-type TraceMeta = trace.MetaInfo
-
 // NewTracer returns an empty enabled tracer.
 func NewTracer() *Tracer { return trace.New() }
 
@@ -33,9 +30,6 @@ func NewTracer() *Tracer { return trace.New() }
 func WriteTraceJSONL(w io.Writer, events []TraceEvent, strip bool) error {
 	return trace.WriteJSONL(w, events, strip)
 }
-
-// ReadTraceJSONL parses a stream produced by WriteTraceJSONL.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return trace.ReadJSONL(r) }
 
 // WriteChromeTrace exports events as Chrome trace-event JSON: open the file
 // in https://ui.perfetto.dev or chrome://tracing to see per-pass tracks
@@ -51,9 +45,6 @@ func WriteTraceExplain(w io.Writer, events []TraceEvent) { trace.WriteExplain(w,
 // WriteTraceDOT renders the coupling graph as Graphviz DOT with edges
 // colored by SWAP heat.
 func WriteTraceDOT(w io.Writer, events []TraceEvent) { trace.WriteDOT(w, events) }
-
-// StripTraceTimes zeroes every event timestamp in place.
-func StripTraceTimes(events []TraceEvent) { trace.StripTimes(events) }
 
 // Live observability endpoint (the -listen flag of qaoa-exp/qaoa-bench).
 
