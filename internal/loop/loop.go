@@ -172,7 +172,7 @@ func (e *HardwareEvaluator) Expectation(params qaoa.Params) (float64, error) {
 	for _, y := range samples {
 		x := res.ExtractLogical(y)
 		if tbl != nil && x < uint64(len(tbl)) {
-			sum += tbl[x]
+			sum += float64(tbl[x])
 		} else {
 			sum += e.Prob.Cost(x)
 		}

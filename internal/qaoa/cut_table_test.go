@@ -21,7 +21,7 @@ func TestCostTableMatchesCutValueBits(t *testing.T) {
 			t.Fatalf("trial %d: table length %d, want %d", trial, len(tbl), 1<<uint(n))
 		}
 		for x := uint64(0); x < uint64(len(tbl)); x++ {
-			if want := float64(graphs.CutValueBits(g, x)); tbl[x] != want {
+			if want := float64(graphs.CutValueBits(g, x)); float64(tbl[x]) != want {
 				t.Fatalf("trial %d: tbl[%#x] = %g, CutValueBits = %g", trial, x, tbl[x], want)
 			}
 		}

@@ -22,7 +22,7 @@ type Problem struct {
 	// costTab caches the dense per-bitstring cut-value table (see
 	// CostTable). Lazily built; atomic so concurrent evaluations of a
 	// shared Problem stay race-free.
-	costTab atomic.Pointer[[]float64]
+	costTab atomic.Pointer[[]float32]
 }
 
 // NewMaxCut wraps g as a MaxCut problem, computing the exact optimum by
@@ -50,7 +50,7 @@ func (p *Problem) NumQubits() int { return p.G.N() }
 func (p *Problem) Cost(x uint64) float64 {
 	if t := p.costTab.Load(); t != nil {
 		if tbl := *t; x < uint64(len(tbl)) {
-			return tbl[x]
+			return float64(tbl[x])
 		}
 	}
 	return float64(graphs.CutValueBits(p.G, x))

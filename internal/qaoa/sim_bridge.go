@@ -13,8 +13,8 @@ import (
 // expectation bridge and the cut-value table feeding its diagonal sweep —
 // so the package's dependency on sim stays explicit and minimal.
 
-// CostTableMaxQubits bounds the dense cut-value table: 2^22 float64 is
-// 32 MiB, comfortably beyond the ≤ 20-qubit instances of the paper's
+// CostTableMaxQubits bounds the dense cut-value table: 2^22 float32 is
+// 16 MiB, comfortably beyond the ≤ 20-qubit instances of the paper's
 // experiments. Larger problems fall back to per-sample edge scans.
 const CostTableMaxQubits = 22
 
@@ -23,12 +23,14 @@ const CostTableMaxQubits = 22
 // exceeds CostTableMaxQubits. The build is O(1) per entry: with h the
 // highest set bit of x, flipping vertex h to side 1 changes the cut by
 // deg(h) minus twice the number of h's neighbors already on side 1, all
-// read off precomputed neighbor bitmasks.
+// read off precomputed neighbor bitmasks. Cut values are edge counts, far
+// below 2^24, so float32 holds every one exactly at half the memory of
+// float64; the table is the bulk of what a problem keeps alive.
 //
 // The table turns both the simulator's diagonal expectation sweep and
 // large-sample approximation ratios from O(edges) per bitstring into one
 // lookup; Cost consults it transparently once built.
-func (p *Problem) CostTable() []float64 {
+func (p *Problem) CostTable() []float32 {
 	if t := p.costTab.Load(); t != nil {
 		return *t
 	}
@@ -46,19 +48,19 @@ func (p *Problem) CostTable() []float64 {
 
 // buildCutTable computes the full cut-value table by the highest-bit DP
 // described on CostTable.
-func buildCutTable(g *graphs.Graph) []float64 {
+func buildCutTable(g *graphs.Graph) []float32 {
 	n := g.N()
 	nbr := make([]uint64, n)
 	for _, e := range g.Edges() {
 		nbr[e.U] |= 1 << uint(e.V)
 		nbr[e.V] |= 1 << uint(e.U)
 	}
-	tbl := make([]float64, 1<<uint(n))
+	tbl := make([]float32, 1<<uint(n))
 	for x := uint64(1); x < uint64(len(tbl)); x++ {
 		h := bits.Len64(x) - 1
 		rest := x &^ (1 << uint(h))
 		delta := bits.OnesCount64(nbr[h]) - 2*bits.OnesCount64(nbr[h]&rest)
-		tbl[x] = tbl[rest] + float64(delta)
+		tbl[x] = tbl[rest] + float32(delta)
 	}
 	return tbl
 }

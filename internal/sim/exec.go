@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -168,27 +169,145 @@ func putCDF(b []float64) { cdfPool.Put(&b) }
 // compiled circuit (the ARG measurement pattern: one noiseless run, many
 // noisy trajectories) shares a single ideal execution. Not safe for
 // concurrent use; the parallelism lives inside SampleNoisy.
+//
+// The executor simulates a register of slots, one per qubit that carries
+// state, rather than the circuit's whole register. A physical qubit gets a
+// slot when its first simulable gate is not a swap; every swap then moves
+// slots between physical qubits instead of moving amplitudes. A compiled
+// QAOA circuit on a 15-qubit device therefore evolves 2^p amplitudes for
+// its p logical qubits, however many device qubits its routing passes
+// through, and spends nothing on swaps. This is exact:
+//
+//   - a physical qubit without a slot is in a basis state — |0⟩ in the ideal
+//     circuit, or a bit that Pauli faults flipped in a noisy trajectory — so
+//     the full-register amplitudes off that bit value are exactly zero, and
+//     every kernel pairs amplitudes within one value of it;
+//   - a swap is a permutation, so relabeling loses nothing;
+//   - the fused program is built on the physical circuit and then mapped
+//     onto the slots op by op (compactProgram), so every amplitude goes
+//     through the same multiplications as in the full register;
+//   - slots are numbered in the order of the physical qubits they end on,
+//     so the CDF lists the nonzero probabilities in physical index order
+//     and sampling lands on the same basis state.
+//
+// Fault plans are drawn on the physical circuit (two-qubit error rates are
+// keyed by physical edge) and samples are deposited back onto the physical
+// register before readout noise, so the RNG stream and every sample match
+// full-register simulation (see DESIGN.md §8).
 type Executor struct {
-	circ     *circuit.Circuit
-	prog     *Program
-	ideal    *State
-	idealCDF []float64
+	circ *circuit.Circuit // the physical circuit; fault plans are drawn on it
+	// start maps each physical qubit to the slot it holds before the first
+	// gate (-1: none); final lists the physical qubit each slot ends on,
+	// ascending.
+	start, final []int
+	active       *circuit.Circuit // circ on the slots, gate for gate; swaps become barriers
+	prog         *Program
+	ideal        *State
+	idealCDF     []float64
 }
 
-// NewExecutor fuses c and returns an executor over it.
+// NewExecutor lays c out on its slot register, fuses it and returns an
+// executor over it.
 func NewExecutor(c *circuit.Circuit) *Executor {
-	return &Executor{circ: c, prog: Fuse(c)}
+	e := &Executor{circ: c}
+	var ok bool
+	if e.start, e.final, ok = slotLayout(c, false); !ok {
+		e.start, e.final, _ = slotLayout(c, true)
+	}
+	// Swaps, Measure and Barrier gates become barriers, placeholders that
+	// keep gate indices aligned: a fault's gate index addresses both
+	// circuits.
+	e.active = &circuit.Circuit{NQubits: len(e.final), Gates: make([]circuit.Gate, len(c.Gates))}
+	at := append([]int(nil), e.start...)
+	for i, g := range c.Gates {
+		switch {
+		case g.Kind == circuit.Barrier || g.Kind == circuit.Measure:
+			g = circuit.Gate{Kind: circuit.Barrier}
+		case g.Kind == circuit.Swap:
+			at[g.Q0], at[g.Q1] = at[g.Q1], at[g.Q0]
+			g = circuit.Gate{Kind: circuit.Barrier}
+		case g.Arity() == 2:
+			g.Q0, g.Q1 = at[g.Q0], at[g.Q1]
+		default:
+			g.Q0 = at[g.Q0]
+		}
+		e.active.Gates[i] = g
+	}
+	e.prog, _ = compactProgram(Fuse(c), append([]int(nil), e.start...), 0, len(e.final))
+	return e
 }
 
-// Program returns the fused execution plan.
-func (e *Executor) Program() *Program { return e.prog }
+// slotLayout walks c's gates and assigns slots: to each physical qubit
+// whose first simulable gate is not a swap or, with every set, to each
+// qubit any simulable gate touches. Swaps move slots. It reports false when
+// a non-swap gate reaches a qubit that has lost its slot to a swap (it is
+// |0⟩ again); compiled circuits never do that, and NewExecutor then falls
+// back to every touched qubit, among which swaps only move slots. Slots are
+// numbered in the order of the physical qubits they end on.
+func slotLayout(c *circuit.Circuit, every bool) (start, final []int, ok bool) {
+	at := make([]int, c.NQubits) // physical qubit → lineage (-1: none)
+	seen := make([]bool, c.NQubits)
+	for q := range at {
+		at[q] = -1
+	}
+	var from []int // lineage → the physical qubit it starts on
+	claim := func(q int) {
+		if at[q] < 0 {
+			ok = ok && !seen[q]
+			at[q] = len(from)
+			from = append(from, q)
+		}
+		seen[q] = true
+	}
+	simulable := func(g circuit.Gate) bool { return g.Kind != circuit.Barrier && g.Kind != circuit.Measure }
+	ok = true
+	if every {
+		for _, g := range c.Gates {
+			if simulable(g) {
+				claim(g.Q0)
+				if g.Arity() == 2 {
+					claim(g.Q1)
+				}
+			}
+		}
+	}
+	for _, g := range c.Gates {
+		switch {
+		case !simulable(g):
+		case g.Kind == circuit.Swap:
+			seen[g.Q0], seen[g.Q1] = true, true
+			at[g.Q0], at[g.Q1] = at[g.Q1], at[g.Q0]
+		default:
+			claim(g.Q0)
+			if g.Arity() == 2 {
+				claim(g.Q1)
+			}
+		}
+	}
+	rank := make([]int, len(from))
+	for q, l := range at {
+		if l >= 0 {
+			rank[l] = len(final)
+			final = append(final, q)
+		}
+	}
+	start = make([]int, c.NQubits)
+	for q := range start {
+		start[q] = -1
+	}
+	for l, q := range from {
+		start[q] = rank[l]
+	}
+	return start, final, ok
+}
 
-// Ideal returns the shared noiseless final state, computing it on first
-// use. Callers must treat it as read-only.
+// Ideal returns the shared noiseless final state over the slot register
+// (slot i ends on the i-th lowest physical qubit of the layout), computing
+// it on first use. Callers must treat it as read-only.
 func (e *Executor) Ideal() *State {
 	if e.ideal == nil {
 		sp := Collector().StartSpan(obsv.SpanSimIdealRun)
-		e.ideal = e.prog.RunOn(NewState(e.circ.NQubits))
+		e.ideal = e.prog.RunOn(NewState(e.active.NQubits))
 		sp.End()
 	}
 	return e.ideal
@@ -209,7 +328,114 @@ func (e *Executor) idealCDFBuf() []float64 {
 func (e *Executor) SampleIdeal(rng *rand.Rand, shots int) []uint64 {
 	out := make([]uint64, shots)
 	sampleCDFInto(e.idealCDFBuf(), rng, out)
+	e.deposit(out, 0)
 	return out
+}
+
+// deposit rewrites slot-register sample indices in place as physical basis
+// indices: bit i of a sample moves to bit final[i], and every qubit without
+// a slot reads its bit from cbits.
+//
+//qaoa:hotpath
+func (e *Executor) deposit(samples []uint64, cbits uint64) {
+	if len(e.final) == e.circ.NQubits {
+		return // every qubit holds a slot: slot i is physical qubit i
+	}
+	for i, k := range samples {
+		x := cbits
+		for b, q := range e.final {
+			x |= (k >> uint(b) & 1) << uint(q)
+		}
+		samples[i] = x
+	}
+}
+
+const noSlot = "sim: a non-Pauli gate reached a qubit without a register slot"
+
+// compactProgram maps p, a program fused on the physical circuit, onto a
+// register of slots, op by op and in place. at maps each physical qubit to
+// its slot (-1: none) and cbits holds the bit of every qubit without a
+// slot; both describe the state before p, and at is updated in place.
+// Returns p and the bits after it.
+//
+// Swaps only move slots and bits. The ops that reach a qubit without a
+// slot are the Pauli faults of a noisy trajectory, since slotLayout gives
+// a slot to every qubit a non-swap gate touches: a fused run of them flips
+// the qubit's bit and multiplies the state by its ±1/±i phase, and a
+// diagonal term reads the bit as a constant. Every amplitude thus goes
+// through the same multiplications, by the same factors and in the same
+// order, as in the full register.
+func compactProgram(p *Program, at []int, cbits uint64, slots int) (*Program, uint64) {
+	ops := p.ops[:0]
+	slot := func(q int) int {
+		if at[q] < 0 {
+			panic(noSlot)
+		}
+		return at[q]
+	}
+	for _, op := range p.ops {
+		switch op.kind {
+		case opSwap:
+			a, b := op.q0, op.q1
+			at[a], at[b] = at[b], at[a]
+			if (cbits>>uint(a)^cbits>>uint(b))&1 != 0 {
+				cbits ^= 1<<uint(a) | 1<<uint(b)
+			}
+			continue
+		case opCNOT:
+			op.q0, op.q1 = slot(op.q0), slot(op.q1)
+		case op1Q:
+			if at[op.q0] >= 0 {
+				op.q0 = at[op.q0]
+				break
+			}
+			// A product of Paulis: one nonzero entry per row.
+			if (op.m[0][0] == 0) == (op.m[0][1] == 0) {
+				panic(noSlot)
+			}
+			from := int(cbits >> uint(op.q0) & 1)
+			to := from
+			if op.m[0][0] == 0 {
+				to ^= 1
+				cbits ^= 1 << uint(op.q0)
+			}
+			if op.m[to][from] == 1 {
+				continue
+			}
+			op = fusedOp{kind: opDiag, global: 1, terms: []diagTerm{uniformTerm(op.m[to][from])}}
+		case opDiag:
+			for i, t := range op.terms {
+				op.terms[i] = compactTerm(t, at, cbits)
+			}
+		}
+		ops = append(ops, op)
+	}
+	p.n, p.ops = slots, ops
+	return p, cbits
+}
+
+// uniformTerm is a diagonal term that multiplies every amplitude by f: with
+// an empty mask it selects the same factor for every basis index.
+func uniformTerm(f complex128) diagTerm { return diagTerm{fac: [2]complex128{f, f}} }
+
+// compactTerm maps a diagonal term onto the slot register. The only terms
+// that reach a qubit without a slot are fault Zs, one bit each; that bit is
+// a constant from cbits, so the term multiplies every amplitude by the
+// factor it selects.
+func compactTerm(t diagTerm, at []int, cbits uint64) diagTerm {
+	var live uint64
+	for m := t.mask; m != 0; m &= m - 1 {
+		s := at[bits.TrailingZeros64(m)]
+		if s < 0 {
+			if t.mask&(t.mask-1) != 0 {
+				panic(noSlot)
+			}
+			return uniformTerm(termFac(&t, cbits))
+		}
+		live |= 1 << uint(s)
+	}
+	t.mask = live
+	return t
 }
 
 // trajPlan is one trajectory's predrawn execution plan: its private RNG
@@ -266,6 +492,7 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 		cdf := e.idealCDFBuf()
 		forEachPlan(idle, func(p *trajPlan) {
 			sampleCDFInto(cdf, p.rng, p.out)
+			e.deposit(p.out, 0)
 			flipReadoutAll(p.out, nm, p.rng)
 		})
 	}
@@ -296,63 +523,73 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
 	sort.SliceStable(faulty, func(i, j int) bool {
 		return faulty[i].faults[0].gate < faulty[j].faults[0].gate
 	})
-	gates := e.circ.Gates
+	gates := e.active.Gates
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(faulty) {
 		workers = len(faulty)
 	}
-	n := e.circ.NQubits
+	n := e.active.NQubits
 	prefix := getState(n)
 	defer putState(prefix)
 	prefix.Reset()
 	prefixGate := -1
+	at := append([]int(nil), e.start...) // the prefix's slot layout
 	scratch := make([]*State, workers)
 	cdfs := make([][]float64, workers)
-	for i := range scratch {
-		scratch[i] = getState(n)
-		cdfs[i] = getCDF(len(prefix.Amp))
-		defer putState(scratch[i])
-		defer putCDF(cdfs[i])
+	ats := make([][]int, workers)
+	for w := range scratch {
+		scratch[w] = getState(n)
+		cdfs[w] = getCDF(len(prefix.Amp))
+		ats[w] = make([]int, len(at))
+		defer putState(scratch[w])
+		defer putCDF(cdfs[w])
 	}
 	var replayGates int64
 	for w0 := 0; w0 < len(faulty); w0 += workers {
 		wave := faulty[w0:min(w0+workers, len(faulty))]
-		for slot, p := range wave {
+		for w, p := range wave {
 			fg := p.faults[0].gate
 			for gi := prefixGate + 1; gi <= fg; gi++ {
 				prefix.ApplyGate(gates[gi])
+				if g := e.circ.Gates[gi]; g.Kind == circuit.Swap {
+					at[g.Q0], at[g.Q1] = at[g.Q1], at[g.Q0]
+				}
 				replayGates++
 			}
 			prefixGate = fg
-			copy(scratch[slot].Amp, prefix.Amp)
+			copy(scratch[w].Amp, prefix.Amp)
+			copy(ats[w], at)
 			replayGates += int64(len(gates) - 1 - fg)
 		}
 		if len(wave) == 1 {
-			e.finishTrajectory(scratch[0], cdfs[0], wave[0], nm)
+			e.finishTrajectory(scratch[0], ats[0], cdfs[0], wave[0], nm)
 			continue
 		}
 		var wg sync.WaitGroup
-		for slot, p := range wave {
+		for w, p := range wave {
 			wg.Add(1)
-			go func(slot int, p *trajPlan) {
+			go func(w int, p *trajPlan) {
 				defer wg.Done()
-				e.finishTrajectory(scratch[slot], cdfs[slot], p, nm)
-			}(slot, p)
+				e.finishTrajectory(scratch[w], ats[w], cdfs[w], p, nm)
+			}(w, p)
 		}
 		wg.Wait()
 	}
 	return replayGates
 }
 
-// finishTrajectory replays the fused fault suffix on the checkpointed state
-// s, then samples the trajectory's shots and applies readout flips — all
-// with the trajectory's private RNG substream.
-func (e *Executor) finishTrajectory(s *State, cdf []float64, p *trajPlan, nm *NoiseModel) {
-	faultSuffixProgram(e.circ, p.faults).apply(s)
+// finishTrajectory replays the fault suffix — fused on the physical circuit,
+// then mapped onto the slot layout at of the checkpointed state s — and
+// samples the trajectory's shots and applies readout flips, all with the
+// trajectory's private RNG substream.
+func (e *Executor) finishTrajectory(s *State, at []int, cdf []float64, p *trajPlan, nm *NoiseModel) {
+	prog, cbits := compactProgram(faultSuffixProgram(e.circ, p.faults), at, 0, s.N)
+	prog.apply(s)
 	acc := buildCDF(s.Amp, cdf)
 	for k := range p.out {
 		p.out[k] = uint64(searchCDF(cdf, p.rng.Float64()*acc))
 	}
+	e.deposit(p.out, cbits)
 	flipReadoutAll(p.out, nm, p.rng)
 }
 

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/device"
 )
 
 // testNoiseModel returns a model noisy enough that a sizable fraction of
@@ -214,13 +217,288 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 func TestExpectationTableMatchesDiagonal(t *testing.T) {
 	s := RandomState(7, rand.New(rand.NewSource(17)))
 	cost := func(x uint64) float64 { return float64((x*2654435761)%97) - 48 }
-	tbl := make([]float64, len(s.Amp))
+	tbl := make([]float32, len(s.Amp))
 	for x := range tbl {
-		tbl[x] = cost(uint64(x))
+		tbl[x] = float32(cost(uint64(x)))
 	}
 	want := s.ExpectationDiagonal(cost)
 	got := s.ExpectationTable(tbl)
 	if d := want - got; d > 1e-12 || d < -1e-12 {
 		t.Fatalf("ExpectationTable = %g, ExpectationDiagonal = %g", got, want)
+	}
+}
+
+// idleTestCircuit builds a compiled-QAOA-shaped circuit on an n-qubit
+// register whose simulable gates touch only the given qubits: an H wall,
+// CPhase and CNOT/Swap/CZ rounds between random active pairs, RZ and RX
+// rotations. Every qubit — idle ones included — then gets a Measure, and a
+// Barrier sits mid-circuit, so the non-simulable gates reach idle qubits.
+func idleTestCircuit(n int, active []int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	c := circuit.New(n)
+	for _, q := range active {
+		c.Append(circuit.NewH(q))
+	}
+	pair := func() (int, int) {
+		i := rng.Intn(len(active))
+		j := (i + 1 + rng.Intn(len(active)-1)) % len(active)
+		return active[i], active[j]
+	}
+	for l := 0; l < 2; l++ {
+		if len(active) > 1 {
+			for i := 0; i < len(active); i++ {
+				a, b := pair()
+				c.Append(circuit.NewCPhase(a, b, rng.Float64()*2))
+				switch a, b := pair(); rng.Intn(3) {
+				case 0:
+					c.Append(circuit.NewSwap(a, b))
+				case 1:
+					c.Append(circuit.NewCNOT(a, b))
+				default:
+					c.Append(circuit.NewCZ(a, b))
+				}
+			}
+		}
+		if l == 0 {
+			c.Append(circuit.Gate{Kind: circuit.Barrier})
+		}
+		for _, q := range active {
+			c.Append(circuit.NewRZ(q, rng.Float64()))
+			c.Append(circuit.NewRX(q, rng.Float64()))
+		}
+	}
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewMeasure(q))
+	}
+	return c
+}
+
+// TestExecutorIdleQubitsMatchNaive: the executor simulates only the qubits
+// that carry state, yet its noisy and ideal samples must equal full-register
+// simulation byte for byte — melbourne noise puts per-edge fault rates on
+// the active pairs and readout flips on every qubit, idle ones included.
+func TestExecutorIdleQubitsMatchNaive(t *testing.T) {
+	const n = 15
+	nm := NoiseFromDevice(device.Melbourne15())
+	all := make([]int, n)
+	for q := range all {
+		all[q] = q
+	}
+	cases := []struct {
+		name   string
+		active []int
+	}{
+		{"qubit-0-idle", all[1:]},
+		{"top-qubit-idle", all[:n-1]},
+		{"single-active", []int{6}},
+		{"no-idle", all},
+		{"no-simulable-gate", nil},
+	}
+	// Both executor paths must be exercised: fault-free trajectories that
+	// sample the shared ideal CDF and faulty ones that replay a suffix.
+	var faulty, clean int
+	defer func() {
+		if faulty == 0 || clean == 0 {
+			t.Errorf("trajectories: %d faulty, %d fault-free; want both paths covered", faulty, clean)
+		}
+	}()
+	rng := rand.New(rand.NewSource(2024))
+	for i := 0; i < 4; i++ {
+		perm := rng.Perm(n)[:2+rng.Intn(n-3)]
+		sort.Ints(perm)
+		cases = append(cases, struct {
+			name   string
+			active []int
+		}{fmt.Sprintf("random-%d", i), perm})
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := idleTestCircuit(n, tc.active, int64(ci))
+			if ex := NewExecutor(c); len(ex.final) != len(tc.active) {
+				t.Fatalf("slot register has %d qubits, want %d", len(ex.final), len(tc.active))
+			}
+			seed := int64(100 + ci)
+			base := rand.New(rand.NewSource(seed)).Int63()
+			for tr := int64(0); tr < 16; tr++ {
+				if len(drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)) > 0 {
+					faulty++
+				} else {
+					clean++
+				}
+			}
+			assertMatchesFullRegister(t, c, nm, seed)
+		})
+	}
+}
+
+// assertMatchesFullRegister checks an executor's noisy and ideal samples of
+// c against full-register simulation, byte for byte, at GOMAXPROCS 1 and 2.
+func assertMatchesFullRegister(t *testing.T, c *circuit.Circuit, nm *NoiseModel, seed int64) {
+	t.Helper()
+	wantNoisy := naiveSampleNoisy(c, nm, 256, 16, rand.New(rand.NewSource(seed)))
+	wantIdeal := NewState(c.NQubits).Run(c).Sample(rand.New(rand.NewSource(seed)), 256)
+	for _, procs := range []int{1, 2} {
+		old := runtime.GOMAXPROCS(procs)
+		gotNoisy := NewExecutor(c).SampleNoisy(nm, 256, 16, rand.New(rand.NewSource(seed)))
+		gotIdeal := NewExecutor(c).SampleIdeal(rand.New(rand.NewSource(seed)), 256)
+		runtime.GOMAXPROCS(old)
+		assertSamplesEqual(t, fmt.Sprintf("GOMAXPROCS=%d noisy", procs), gotNoisy, wantNoisy)
+		assertSamplesEqual(t, fmt.Sprintf("GOMAXPROCS=%d ideal", procs), gotIdeal, wantIdeal)
+	}
+}
+
+// routedTestCircuit builds a circuit whose swaps route qubit states through
+// otherwise idle qubits, as a router does: the qubits in start get an H,
+// then each round swaps two random qubits (a state and an idle qubit, two
+// states, or two idle qubits) and applies a CPhase and an RX to qubits that
+// hold a state. Every qubit gets a Measure.
+func routedTestCircuit(n int, start []int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	c := circuit.New(n)
+	holds := make([]bool, n)
+	for _, q := range start {
+		holds[q] = true
+		c.Append(circuit.NewH(q))
+	}
+	for r := 0; r < 3*n; r++ {
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		c.Append(circuit.NewSwap(a, b))
+		holds[a], holds[b] = holds[b], holds[a]
+		var occ []int
+		for q, h := range holds {
+			if h {
+				occ = append(occ, q)
+			}
+		}
+		i, j := rng.Intn(len(occ)), rng.Intn(len(occ)-1)
+		if j >= i {
+			j++
+		}
+		c.Append(circuit.NewCPhase(occ[i], occ[j], 0.2+rng.Float64()))
+		c.Append(circuit.NewRX(occ[rng.Intn(len(occ))], rng.Float64()))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewMeasure(q))
+	}
+	return c
+}
+
+// TestExecutorRoutedThroughIdleQubitsMatchesNaive: swaps move slots instead
+// of amplitudes, so a circuit that routes 9 qubit states across all 15
+// qubits simulates 9 qubits. Noisy trajectories put Pauli faults on qubits
+// that hold no slot; the executor tracks those as classical bits, and its
+// samples must still equal full-register simulation byte for byte.
+func TestExecutorRoutedThroughIdleQubitsMatchesNaive(t *testing.T) {
+	const n = 15
+	nm := NoiseFromDevice(device.Melbourne15())
+	slotless := 0 // faults that put X or Y on a qubit without a slot
+	for seed := int64(0); seed < 4; seed++ {
+		start := rand.New(rand.NewSource(seed)).Perm(n)[:9]
+		c := routedTestCircuit(n, start, seed)
+		ex := NewExecutor(c)
+		if len(ex.final) != len(start) {
+			t.Fatalf("seed %d: slot register has %d qubits, want %d", seed, len(ex.final), len(start))
+		}
+		base := rand.New(rand.NewSource(seed)).Int63()
+		for tr := int64(0); tr < 16; tr++ {
+			at := append([]int(nil), ex.start...)
+			faults := drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)
+			fi := 0
+			for gi, g := range c.Gates {
+				if g.Kind == circuit.Swap {
+					at[g.Q0], at[g.Q1] = at[g.Q1], at[g.Q0]
+				}
+				for ; fi < len(faults) && faults[fi].gate == gi; fi++ {
+					f := faults[fi]
+					if at[f.q0] < 0 && (f.d0 == 1 || f.d0 == 2) || f.q1 >= 0 && at[f.q1] < 0 && (f.d1 == 1 || f.d1 == 2) {
+						slotless++
+					}
+				}
+			}
+		}
+		assertMatchesFullRegister(t, c, nm, seed)
+	}
+	if slotless == 0 {
+		t.Fatal("no fault flipped a qubit without a slot; the classical-bit path went untested")
+	}
+}
+
+// TestExecutorSlotFallback: when a non-swap gate reaches a qubit whose state
+// a swap moved away, the executor gives a slot to every touched qubit and
+// still matches full-register simulation.
+func TestExecutorSlotFallback(t *testing.T) {
+	c := circuit.New(5)
+	c.Append(circuit.NewH(0))
+	c.Append(circuit.NewH(1))
+	c.Append(circuit.NewSwap(0, 3))
+	c.Append(circuit.NewH(0)) // qubit 0 is |0⟩ again and gets a gate
+	c.Append(circuit.NewCPhase(0, 1, 0.7))
+	c.Append(circuit.NewCPhase(1, 3, 0.4))
+	c.Append(circuit.NewSwap(1, 4))
+	c.Append(circuit.NewRX(4, 0.3))
+	c.Append(circuit.NewRX(3, 0.9))
+	if _, _, ok := slotLayout(c, false); ok {
+		t.Fatal("slotLayout accepted a gate on a qubit that lost its slot")
+	}
+	ex := NewExecutor(c)
+	if got, want := len(ex.final), 4; got != want {
+		t.Fatalf("fallback register has %d slots, want %d (every touched qubit)", got, want)
+	}
+	assertMatchesFullRegister(t, c, testNoiseModel(), 11)
+}
+
+func assertSamplesEqual(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: sample %d = %#x, full register has %#x", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestExecutorIdealAcrossDiagSweepMin covers the one place where the slot
+// register may take a different kernel than the full one: a 20-qubit
+// register runs multi-term diagonal runs as one sweep (≥ diagSweepMin
+// amplitudes) while its 19-slot register runs them term by term.
+// Rounding may then differ, so the states agree to 1e-12 rather than bit
+// for bit.
+func TestExecutorIdealAcrossDiagSweepMin(t *testing.T) {
+	const n = 20
+	if 1<<n < diagSweepMin || 1<<(n-1) >= diagSweepMin {
+		t.Fatalf("register sizes no longer straddle diagSweepMin = %d", diagSweepMin)
+	}
+	active := make([]int, 0, n-1)
+	for q := 0; q < n; q++ {
+		if q != 7 {
+			active = append(active, q)
+		}
+	}
+	c := circuit.New(n)
+	for _, q := range active {
+		c.Append(circuit.NewH(q))
+	}
+	for i, a := range active {
+		c.Append(circuit.NewCPhase(a, active[(i+3)%len(active)], 0.3+0.1*float64(i)))
+	}
+	for _, q := range active {
+		c.Append(circuit.NewRX(q, 0.4))
+	}
+	ex := NewExecutor(c)
+	want := NewState(n).Run(c)
+	got := NewState(n)
+	got.Amp[0] = 0
+	for k, a := range ex.Ideal().Amp {
+		x := []uint64{uint64(k)}
+		ex.deposit(x, 0)
+		got.Amp[x[0]] = a
+	}
+	if d := maxAmpDiff(want, got); d > 1e-12 {
+		t.Fatalf("active-register ideal state deviates from the full register by %g", d)
 	}
 }

@@ -1,0 +1,12 @@
+package sim
+
+// Test hooks for the external test package, which compiles circuits
+// (compile imports sim, so those tests cannot live in package sim).
+var (
+	NaiveSampleNoisy   = naiveSampleNoisy
+	AssertSamplesEqual = assertSamplesEqual
+)
+
+// ActiveQubits returns the number of slots in the register the executor
+// simulates.
+func ActiveQubits(e *Executor) int { return len(e.final) }

@@ -363,9 +363,10 @@ func (s *State) ExpectationDiagonal(f func(x uint64) float64) float64 {
 }
 
 // ExpectationTable returns Σ_x |⟨x|ψ⟩|² vals[x] for a precomputed diagonal
-// observable — the table-lookup fast path of ExpectationDiagonal (same
-// summation order, so results are bit-identical for vals[x] == f(x)).
-func (s *State) ExpectationTable(vals []float64) float64 {
+// observable whose values float32 holds exactly (such as cut values) — the
+// table-lookup fast path of ExpectationDiagonal (same summation order, so
+// results are bit-identical for float64(vals[x]) == f(x)).
+func (s *State) ExpectationTable(vals []float32) float64 {
 	if len(vals) < len(s.Amp) {
 		panic(fmt.Sprintf("sim: expectation table has %d entries, state needs %d", len(vals), len(s.Amp)))
 	}
@@ -373,7 +374,7 @@ func (s *State) ExpectationTable(vals []float64) float64 {
 	for i, a := range s.Amp {
 		p := real(a)*real(a) + imag(a)*imag(a)
 		if p > 0 {
-			e += p * vals[i]
+			e += p * float64(vals[i])
 		}
 	}
 	return e

@@ -200,9 +200,10 @@ type NoiseModel = sim.NoiseModel
 // Simulate runs the circuit from |0…0⟩ and returns the final state.
 func Simulate(c *Circuit) *State { return sim.NewState(c.NQubits).Run(c) }
 
-// SampleIdeal draws shots noiseless measurement samples from c.
+// SampleIdeal draws shots noiseless measurement samples from c, simulating
+// one register slot per qubit state c carries (see sim.Executor).
 func SampleIdeal(c *Circuit, shots int, rng *rand.Rand) []uint64 {
-	return sim.NewState(c.NQubits).Run(c).Sample(rng, shots)
+	return sim.NewExecutor(c).SampleIdeal(rng, shots)
 }
 
 // SampleNoisy draws shots samples under the noise model, spread over the
