@@ -22,7 +22,7 @@ func TestCostTableMatchesCutValueBits(t *testing.T) {
 		}
 		for x := uint64(0); x < uint64(len(tbl)); x++ {
 			if want := float64(graphs.CutValueBits(g, x)); float64(tbl[x]) != want {
-				t.Fatalf("trial %d: tbl[%#x] = %g, CutValueBits = %g", trial, x, tbl[x], want)
+				t.Fatalf("trial %d: tbl[%#x] = %d, CutValueBits = %g", trial, x, tbl[x], want)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ type Problem struct {
 	// costTab caches the dense per-bitstring cut-value table (see
 	// CostTable). Lazily built; atomic so concurrent evaluations of a
 	// shared Problem stay race-free.
-	costTab atomic.Pointer[[]float32]
+	costTab atomic.Pointer[[]uint8]
 }
 
 // NewMaxCut wraps g as a MaxCut problem, computing the exact optimum by

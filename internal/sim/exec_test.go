@@ -161,11 +161,15 @@ func TestExecutorIdealReuse(t *testing.T) {
 	}
 }
 
+// TestRunNoisyZeroNoiseMatchesRun: without faults the oracle is the plain
+// gate-by-gate run, bit for bit, and agrees with the fused Run to rounding.
 func TestRunNoisyZeroNoiseMatchesRun(t *testing.T) {
 	c := noisyTestCircuit(4, 2, 21)
-	want := NewState(4).Run(c)
 	got := RunNoisy(c, &NoiseModel{}, rand.New(rand.NewSource(1)))
-	if d := maxAmpDiff(want, got); d != 0 {
+	if d := maxAmpDiff(referenceRun(c), got); d != 0 {
+		t.Fatalf("fault-free RunNoisy deviates from the gate-by-gate run by %g", d)
+	}
+	if d := maxAmpDiff(NewState(4).Run(c), got); d > 1e-12 {
 		t.Fatalf("fault-free RunNoisy deviates from Run by %g", d)
 	}
 }
@@ -216,10 +220,10 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 
 func TestExpectationTableMatchesDiagonal(t *testing.T) {
 	s := RandomState(7, rand.New(rand.NewSource(17)))
-	cost := func(x uint64) float64 { return float64((x*2654435761)%97) - 48 }
-	tbl := make([]float32, len(s.Amp))
+	cost := func(x uint64) float64 { return float64((x * 2654435761) % 97) }
+	tbl := make([]uint8, len(s.Amp))
 	for x := range tbl {
-		tbl[x] = float32(cost(uint64(x)))
+		tbl[x] = uint8(cost(uint64(x)))
 	}
 	want := s.ExpectationDiagonal(cost)
 	got := s.ExpectationTable(tbl)

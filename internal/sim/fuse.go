@@ -65,6 +65,9 @@ type Program struct {
 	n     int // qubits the source circuit declared
 	gates int // simulable (non-barrier, non-measure) gates covered
 	ops   []fusedOp
+	// src maps each gate of the source circuit to the index of the op that
+	// covers it (-1: Measure and Barrier, which no op covers).
+	src []int32
 }
 
 // NQubits returns the qubit count of the source circuit.
@@ -77,9 +80,12 @@ func (p *Program) Gates() int { return p.gates }
 // the ratio).
 func (p *Program) Ops() int { return len(p.ops) }
 
-// mat1Q returns the 2×2 unitary of a non-diagonal one-qubit gate.
+// mat1Q returns the 2×2 unitary of a one-qubit gate.
 func mat1Q(g circuit.Gate) [2][2]complex128 {
 	switch g.Kind {
+	case circuit.Z, circuit.RZ, circuit.U1:
+		d0, d1 := diag1Q(g)
+		return [2][2]complex128{{d0, 0}, {0, d1}}
 	case circuit.H:
 		return matH
 	case circuit.X:
@@ -137,7 +143,7 @@ type fuser struct {
 // dropped (they are no-ops at the state level, matching ApplyGate).
 func Fuse(c *circuit.Circuit) *Program {
 	f := &fuser{
-		prog:      &Program{n: c.NQubits},
+		prog:      &Program{n: c.NQubits, src: make([]int32, len(c.Gates))},
 		lastTouch: make([]int, c.NQubits),
 		open1Q:    make([]int, c.NQubits),
 		openDiag:  -1,
@@ -145,12 +151,14 @@ func Fuse(c *circuit.Circuit) *Program {
 	for q := range f.lastTouch {
 		f.lastTouch[q], f.open1Q[q] = -1, -1
 	}
-	for _, g := range c.Gates {
+	for gi, g := range c.Gates {
 		switch g.Kind {
 		case circuit.Measure, circuit.Barrier:
+			f.prog.src[gi] = -1
 			continue
 		}
 		f.prog.gates++
+		var op int
 		switch g.Kind {
 		case circuit.Z, circuit.RZ, circuit.U1:
 			d0, d1 := diag1Q(g)
@@ -161,23 +169,24 @@ func Fuse(c *circuit.Circuit) *Program {
 				m[0][1] *= d0
 				m[1][0] *= d1
 				m[1][1] *= d1
+				op = i
 			} else {
 				// d0·(term d1/d0 on bit q). For Z and U1 d0 is exactly 1.
-				f.foldDiag(d0, diagTerm{mask: 1 << uint(g.Q0), fac: [2]complex128{1, d1 / d0}}, g.Q0)
+				op = f.foldDiag(d0, diagTerm{mask: 1 << uint(g.Q0), fac: [2]complex128{1, d1 / d0}}, g.Q0)
 			}
 		case circuit.CZ:
-			f.foldDiag(1, diagTerm{mask: 1<<uint(g.Q0) | 1<<uint(g.Q1), fac: [2]complex128{1, -1}}, g.Q0, g.Q1)
+			op = f.foldDiag(1, diagTerm{mask: 1<<uint(g.Q0) | 1<<uint(g.Q1), fac: [2]complex128{1, -1}}, g.Q0, g.Q1)
 		case circuit.CPhase:
 			// exp(-iθ/2 Z⊗Z): e^{-iθ/2} on agreeing bits, e^{+iθ/2} on
 			// disagreeing ones = global e^{-iθ/2} times e^{+iθ} on odd parity.
 			theta := g.Params[0]
-			f.foldDiag(cmplx.Exp(complex(0, -theta/2)),
+			op = f.foldDiag(cmplx.Exp(complex(0, -theta/2)),
 				diagTerm{mask: 1<<uint(g.Q0) | 1<<uint(g.Q1), fac: [2]complex128{1, cmplx.Exp(complex(0, theta))}, parity: true},
 				g.Q0, g.Q1)
 		case circuit.CNOT:
-			f.appendOp(fusedOp{kind: opCNOT, q0: g.Q0, q1: g.Q1}, g.Q0, g.Q1)
+			op = f.appendOp(fusedOp{kind: opCNOT, q0: g.Q0, q1: g.Q1}, g.Q0, g.Q1)
 		case circuit.Swap:
-			f.appendOp(fusedOp{kind: opSwap, q0: g.Q0, q1: g.Q1}, g.Q0, g.Q1)
+			op = f.appendOp(fusedOp{kind: opSwap, q0: g.Q0, q1: g.Q1}, g.Q0, g.Q1)
 		default:
 			if g.Arity() != 1 {
 				panic("sim: cannot fuse " + g.Kind.String())
@@ -185,11 +194,13 @@ func Fuse(c *circuit.Circuit) *Program {
 			m := mat1Q(g)
 			if i := f.open1Q[g.Q0]; i >= 0 && i == f.lastTouch[g.Q0] {
 				f.prog.ops[i].m = matMul(m, f.prog.ops[i].m)
+				op = i
 			} else {
-				i := f.appendOp(fusedOp{kind: op1Q, q0: g.Q0, m: m}, g.Q0)
-				f.open1Q[g.Q0] = i
+				op = f.appendOp(fusedOp{kind: op1Q, q0: g.Q0, m: m}, g.Q0)
+				f.open1Q[g.Q0] = op
 			}
 		}
+		f.prog.src[gi] = int32(op)
 	}
 	// Finalize: bake each diagonal run's global phase into its first term so
 	// the sweep spends exactly one complex multiply per term per amplitude.
@@ -217,8 +228,8 @@ func (f *fuser) appendOp(op fusedOp, qs ...int) int {
 
 // foldDiag merges one diagonal gate (global factor + term) into the open
 // diagonal run, reusing it when no later op touches the gate's qubits and
-// opening a fresh run otherwise.
-func (f *fuser) foldDiag(global complex128, t diagTerm, qs ...int) {
+// opening a fresh run otherwise. Returns the run's op index.
+func (f *fuser) foldDiag(global complex128, t diagTerm, qs ...int) int {
 	d := f.openDiag
 	for _, q := range qs {
 		if f.lastTouch[q] > d {
@@ -232,21 +243,24 @@ func (f *fuser) foldDiag(global complex128, t diagTerm, qs ...int) {
 	}
 	op := &f.prog.ops[d]
 	op.global *= global
-	merged := false
-	for i := range op.terms {
-		if op.terms[i].mask == t.mask && op.terms[i].parity == t.parity {
-			op.terms[i].fac[1] *= t.fac[1]
-			merged = true
-			break
-		}
-	}
-	if !merged {
-		op.terms = append(op.terms, t)
-	}
+	op.terms = mergeTerm(op.terms, t)
 	for _, q := range qs {
 		f.lastTouch[q] = d
 		f.open1Q[q] = -1
 	}
+	return d
+}
+
+// mergeTerm multiplies t into the term of terms with the same mask and
+// shape, or appends it when there is none.
+func mergeTerm(terms []diagTerm, t diagTerm) []diagTerm {
+	for i := range terms {
+		if terms[i].mask == t.mask && terms[i].parity == t.parity {
+			terms[i].fac[1] *= t.fac[1]
+			return terms
+		}
+	}
+	return append(terms, t)
 }
 
 // termFac returns the term's factor for basis index x.
@@ -316,26 +330,36 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 }
 
 // applyTerm1 applies a single-bit diagonal term: fac[0] on the bit-clear
-// half, fac[1] on the bit-set half.
+// half, fac[1] on the bit-set half. The kernels below build their
+// parallelFor closure only on the fan-out path, so serial passes allocate
+// nothing.
 //
 //qaoa:hotpath
 func (s *State) applyTerm1(b int, f0, f1 complex128) {
-	bm := b - 1
-	if f0 == 1 {
-		parallelFor(len(s.Amp)>>1, func(klo, khi int) {
-			for k := klo; k < khi; k++ {
-				s.Amp[(k&^bm)<<1|k&bm|b] *= f1
-			}
-		})
+	n := len(s.Amp) >> 1
+	if n <= ParallelThreshold {
+		s.term1(0, n, b, f0, f1)
 		return
 	}
-	parallelFor(len(s.Amp)>>1, func(klo, khi int) {
+	parallelFor(n, func(klo, khi int) { s.term1(klo, khi, b, f0, f1) })
+}
+
+// term1 is applyTerm1 over the amplitude pairs [klo, khi).
+//
+//qaoa:hotpath
+func (s *State) term1(klo, khi, b int, f0, f1 complex128) {
+	bm := b - 1
+	if f0 == 1 {
 		for k := klo; k < khi; k++ {
-			i := (k&^bm)<<1 | k&bm
-			s.Amp[i] *= f0
-			s.Amp[i|b] *= f1
+			s.Amp[(k&^bm)<<1|k&bm|b] *= f1
 		}
-	})
+		return
+	}
+	for k := klo; k < khi; k++ {
+		i := (k&^bm)<<1 | k&bm
+		s.Amp[i] *= f0
+		s.Amp[i|b] *= f1
+	}
 }
 
 // applyTerm2 applies a two-bit diagonal term by quarter-state subsets:
@@ -344,44 +368,48 @@ func (s *State) applyTerm1(b int, f0, f1 complex128) {
 //
 //qaoa:hotpath
 func (s *State) applyTerm2(mask uint64, parity bool, f0, f1 complex128) {
+	n := len(s.Amp) >> 2
+	if n <= ParallelThreshold {
+		s.term2(0, n, mask, parity, f0, f1)
+		return
+	}
+	parallelFor(n, func(klo, khi int) { s.term2(klo, khi, mask, parity, f0, f1) })
+}
+
+// term2 is applyTerm2 over the quarter indices [klo, khi).
+//
+//qaoa:hotpath
+func (s *State) term2(klo, khi int, mask uint64, parity bool, f0, f1 complex128) {
 	lo := int(mask & -mask)
 	hi := int(mask) &^ lo
 	both := int(mask)
 	switch {
 	case f0 == 1 && parity:
-		parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-			for k := klo; k < khi; k++ {
-				i := expand2(k, lo, hi)
-				s.Amp[i|lo] *= f1
-				s.Amp[i|hi] *= f1
-			}
-		})
+		for k := klo; k < khi; k++ {
+			i := expand2(k, lo, hi)
+			s.Amp[i|lo] *= f1
+			s.Amp[i|hi] *= f1
+		}
 	case f0 == 1:
-		parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-			for k := klo; k < khi; k++ {
-				s.Amp[expand2(k, lo, hi)|both] *= f1
-			}
-		})
+		for k := klo; k < khi; k++ {
+			s.Amp[expand2(k, lo, hi)|both] *= f1
+		}
 	case parity:
-		parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-			for k := klo; k < khi; k++ {
-				i := expand2(k, lo, hi)
-				s.Amp[i] *= f0
-				s.Amp[i|lo] *= f1
-				s.Amp[i|hi] *= f1
-				s.Amp[i|both] *= f0
-			}
-		})
+		for k := klo; k < khi; k++ {
+			i := expand2(k, lo, hi)
+			s.Amp[i] *= f0
+			s.Amp[i|lo] *= f1
+			s.Amp[i|hi] *= f1
+			s.Amp[i|both] *= f0
+		}
 	default:
-		parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-			for k := klo; k < khi; k++ {
-				i := expand2(k, lo, hi)
-				s.Amp[i] *= f0
-				s.Amp[i|lo] *= f0
-				s.Amp[i|hi] *= f0
-				s.Amp[i|both] *= f1
-			}
-		})
+		for k := klo; k < khi; k++ {
+			i := expand2(k, lo, hi)
+			s.Amp[i] *= f0
+			s.Amp[i|lo] *= f0
+			s.Amp[i|hi] *= f0
+			s.Amp[i|both] *= f1
+		}
 	}
 }
 
@@ -411,12 +439,13 @@ func (s *State) diagSweep(global complex128, terms []diagTerm) {
 	})
 }
 
-// apply executes the fused ops on s without touching the counters — the
-// building block shared by RunOn and the noisy-trajectory suffix replay.
+// apply executes ops [from, to) of the program on s without touching the
+// counters — the building block shared by RunOn and the executor's rolling
+// ideal prefix.
 //
 //qaoa:hotpath
-func (p *Program) apply(s *State) {
-	for i := range p.ops {
+func (p *Program) apply(s *State, from, to int) {
+	for i := from; i < to; i++ {
 		op := &p.ops[i]
 		switch op.kind {
 		case op1Q:
@@ -438,7 +467,7 @@ func (p *Program) RunOn(s *State) *State {
 	if p.n > s.N {
 		panic(fmt.Sprintf("sim: program needs %d qubits, state has %d", p.n, s.N))
 	}
-	p.apply(s)
+	p.apply(s, 0, len(p.ops))
 	if col := Collector(); col.Enabled() {
 		col.Inc(obsv.CntSimRuns)
 		col.Add(obsv.CntSimGates, int64(p.gates))

@@ -77,21 +77,27 @@ func applyPauliDigit(s *State, q, digit int) {
 // state is a single sample of the noisy process; average observables over
 // many trajectories. The fault sites are drawn up front (the state
 // evolution consumes no randomness, so the caller's RNG stream is consumed
-// draw-for-draw as in the interleaved formulation). A fault-free trajectory
-// runs entirely through the fused fast path; a faulty one applies the
-// gates up to its first fault site directly and finishes through the fused
-// fault suffix — the exact computation the Executor's checkpoint replay
-// performs, so the two agree bit for bit on the same plan.
+// draw-for-draw as in the interleaved formulation); then every gate runs
+// through ApplyGate and every drawn Pauli as a gate after it. This is the
+// plain oracle the Executor's Pauli-frame replay is checked against: it
+// shares no simulation code with it.
 func RunNoisy(c *circuit.Circuit, nm *NoiseModel, rng *rand.Rand) *State {
-	faults := drawFaults(c, nm, rng, nil)
+	return runFaults(c, drawFaults(c, nm, rng, nil))
+}
+
+// runFaults runs c from |0…0⟩ gate by gate, applying each planned fault's
+// Paulis as gates right after its gate.
+func runFaults(c *circuit.Circuit, faults []fault) *State {
 	s := NewState(c.NQubits)
-	if len(faults) == 0 {
-		return Fuse(c).RunOn(s)
+	for gi, g := range c.Gates {
+		s.ApplyGate(g)
+		for ; len(faults) > 0 && faults[0].gate == gi; faults = faults[1:] {
+			applyPauliDigit(s, faults[0].q0, faults[0].d0)
+			if faults[0].q1 >= 0 {
+				applyPauliDigit(s, faults[0].q1, faults[0].d1)
+			}
+		}
 	}
-	for gi := 0; gi <= faults[0].gate; gi++ {
-		s.ApplyGate(c.Gates[gi])
-	}
-	faultSuffixProgram(c, faults).apply(s)
 	return s
 }
 
@@ -100,7 +106,7 @@ func RunNoisy(c *circuit.Circuit, nm *NoiseModel, rng *rand.Rand) *State {
 // trajectories and applying readout bit-flips to every sample. It is the
 // one-shot form of Executor.SampleNoisy (which amortizes the fused program
 // and ideal state across calls); see there for the trajectory substream and
-// checkpoint-replay semantics.
+// Pauli-frame replay semantics.
 func SampleNoisy(c *circuit.Circuit, nm *NoiseModel, shots, trajectories int, rng *rand.Rand) []uint64 {
 	return NewExecutor(c).SampleNoisy(nm, shots, trajectories, rng)
 }

@@ -173,15 +173,25 @@ func sortBits(a, b int) (int, int) {
 //
 //qaoa:hotpath
 func (s *State) ApplyCNOT(c, t int) {
+	n := len(s.Amp) >> 2
+	if n <= ParallelThreshold {
+		s.cnot(0, n, c, t)
+		return
+	}
+	parallelFor(n, func(klo, khi int) { s.cnot(klo, khi, c, t) })
+}
+
+// cnot is ApplyCNOT over the swapped pairs [klo, khi).
+//
+//qaoa:hotpath
+func (s *State) cnot(klo, khi, c, t int) {
 	cb, tb := 1<<uint(c), 1<<uint(t)
 	lo, hi := sortBits(cb, tb)
-	parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			i := expand2(k, lo, hi) | cb
-			j := i | tb
-			s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
-		}
-	})
+	for k := klo; k < khi; k++ {
+		i := expand2(k, lo, hi) | cb
+		j := i | tb
+		s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
+	}
 }
 
 // ApplyCZ applies a controlled-Z between a and b, visiting only the
@@ -363,10 +373,10 @@ func (s *State) ExpectationDiagonal(f func(x uint64) float64) float64 {
 }
 
 // ExpectationTable returns Σ_x |⟨x|ψ⟩|² vals[x] for a precomputed diagonal
-// observable whose values float32 holds exactly (such as cut values) — the
-// table-lookup fast path of ExpectationDiagonal (same summation order, so
-// results are bit-identical for float64(vals[x]) == f(x)).
-func (s *State) ExpectationTable(vals []float32) float64 {
+// observable with small non-negative integer values (such as cut values) —
+// the table-lookup fast path of ExpectationDiagonal (same summation order,
+// so results are bit-identical for float64(vals[x]) == f(x)).
+func (s *State) ExpectationTable(vals []uint8) float64 {
 	if len(vals) < len(s.Amp) {
 		panic(fmt.Sprintf("sim: expectation table has %d entries, state needs %d", len(vals), len(s.Amp)))
 	}
