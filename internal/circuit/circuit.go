@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Circuit is an ordered gate list over a register of NQubits qubits.
 type Circuit struct {
@@ -185,11 +182,22 @@ func (c *Circuit) MeasureAll() *Circuit {
 
 // String renders the circuit one gate per line in OpenQASM-like syntax.
 func (c *Circuit) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "qreg q[%d];\n", c.NQubits)
-	for _, g := range c.Gates {
-		b.WriteString(g.String())
-		b.WriteString(";\n")
-	}
-	return b.String()
+	return string(c.AppendText(make([]byte, 0, c.TextSizeHint())))
 }
+
+// AppendText appends the String rendering of c to b.
+func (c *Circuit) AppendText(b []byte) []byte {
+	b = append(b, "qreg q["...)
+	b = AppendQubit(b, c.NQubits)
+	b = append(b, ";\n"...)
+	for _, g := range c.Gates {
+		b = g.AppendText(b)
+		b = append(b, ";\n"...)
+	}
+	return b
+}
+
+// TextSizeHint is a buffer capacity that holds a text rendering of c — the
+// String form or its OpenQASM export — in one allocation for typical
+// angles.
+func (c *Circuit) TextSizeHint() int { return 64 + 28*len(c.Gates) }

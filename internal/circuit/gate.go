@@ -10,6 +10,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Kind enumerates the gate set understood by the IR, the router and the
@@ -39,7 +40,7 @@ const (
 	Barrier
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	Invalid: "invalid",
 	H:       "h",
 	X:       "x",
@@ -61,10 +62,10 @@ var kindNames = map[Kind]string{
 
 // String returns the lowercase OpenQASM-style mnemonic.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // Arity returns the number of qubits the kind acts on (Barrier is treated
@@ -156,24 +157,40 @@ func (g Gate) IsDiagonal() bool {
 
 // String renders the gate OpenQASM-style, e.g. "zz(0.78540) q[1],q[4]".
 func (g Gate) String() string {
-	s := g.Kind.String()
+	return string(g.AppendText(make([]byte, 0, 32)))
+}
+
+// AppendText appends the String rendering of g to b: angles as %.5f,
+// qubits as q[i].
+func (g Gate) AppendText(b []byte) []byte {
+	b = append(b, g.Kind.String()...)
 	if n := g.Kind.NumParams(); n > 0 {
-		s += "("
+		b = append(b, '(')
 		for i := 0; i < n; i++ {
 			if i > 0 {
-				s += ","
+				b = append(b, ',')
 			}
-			s += fmt.Sprintf("%.5f", g.Params[i])
+			b = strconv.AppendFloat(b, g.Params[i], 'f', 5, 64)
 		}
-		s += ")"
+		b = append(b, ')')
 	}
 	switch g.Arity() {
 	case 1:
-		s += fmt.Sprintf(" q[%d]", g.Q0)
+		b = append(b, " q["...)
+		b = AppendQubit(b, g.Q0)
 	case 2:
-		s += fmt.Sprintf(" q[%d],q[%d]", g.Q0, g.Q1)
+		b = append(b, " q["...)
+		b = AppendQubit(b, g.Q0)
+		b = append(b, ",q["...)
+		b = AppendQubit(b, g.Q1)
 	}
-	return s
+	return b
+}
+
+// AppendQubit appends the decimal index q and a closing bracket — the
+// tail of a "q[i]" operand.
+func AppendQubit(b []byte, q int) []byte {
+	return append(strconv.AppendInt(b, int64(q), 10), ']')
 }
 
 // Constructors.

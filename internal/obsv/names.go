@@ -187,6 +187,14 @@ const (
 	FieldSwaps         = "swaps"
 	FieldDepth         = "depth"
 	FieldGates         = "gates"
+	// Per-request phases of a /v1/compile success, read off the clock at
+	// the handler's boundaries: body decode and parse, cache lookup, angle
+	// bind, artifact rendering and response framing, response write.
+	FieldDecodeMS = "decode_ms"
+	FieldLookupMS = "lookup_ms"
+	FieldBindMS   = "bind_ms"
+	FieldRenderMS = "render_ms"
+	FieldWriteMS  = "write_ms"
 	// Fields of the load-generator and sweep summary events.
 	FieldPhase     = "phase"
 	FieldRequests  = "requests"
@@ -345,6 +353,11 @@ var fieldRegistry = map[string]bool{
 	FieldSwaps:         true,
 	FieldDepth:         true,
 	FieldGates:         true,
+	FieldDecodeMS:      true,
+	FieldLookupMS:      true,
+	FieldBindMS:        true,
+	FieldRenderMS:      true,
+	FieldWriteMS:       true,
 	FieldPhase:         true,
 	FieldRequests:      true,
 	FieldReqPerSec:     true,

@@ -10,6 +10,7 @@ package qasm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -18,43 +19,59 @@ import (
 // Export renders c as an OpenQASM 2.0 program. Every qubit gets a matching
 // classical bit; measure statements target the same index.
 func Export(c *circuit.Circuit) string {
-	var b strings.Builder
-	b.WriteString("OPENQASM 2.0;\n")
-	b.WriteString("include \"qelib1.inc\";\n")
-	fmt.Fprintf(&b, "qreg q[%d];\n", c.NQubits)
-	fmt.Fprintf(&b, "creg c[%d];\n", c.NQubits)
-	for _, g := range c.Gates {
-		b.WriteString(gateQASM(g))
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return string(Append(make([]byte, 0, c.TextSizeHint()), c))
 }
 
-func gateQASM(g circuit.Gate) string {
+// Append appends the Export rendering of c to b, so a caller with a reused
+// buffer renders without allocating. Angles print as %.12g.
+func Append(b []byte, c *circuit.Circuit) []byte {
+	b = append(b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q["...)
+	b = circuit.AppendQubit(b, c.NQubits)
+	b = append(b, ";\ncreg c["...)
+	b = circuit.AppendQubit(b, c.NQubits)
+	b = append(b, ";\n"...)
+	for _, g := range c.Gates {
+		b = appendGate(b, g)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+func appendGate(b []byte, g circuit.Gate) []byte {
 	switch g.Kind {
-	case circuit.H, circuit.X, circuit.Y, circuit.Z:
-		return fmt.Sprintf("%s q[%d];", g.Kind, g.Q0)
-	case circuit.RX, circuit.RY, circuit.RZ, circuit.U1:
-		return fmt.Sprintf("%s(%.12g) q[%d];", g.Kind, g.Params[0], g.Q0)
-	case circuit.U2:
-		return fmt.Sprintf("u2(%.12g,%.12g) q[%d];", g.Params[0], g.Params[1], g.Q0)
-	case circuit.U3:
-		return fmt.Sprintf("u3(%.12g,%.12g,%.12g) q[%d];", g.Params[0], g.Params[1], g.Params[2], g.Q0)
-	case circuit.CNOT:
-		return fmt.Sprintf("cx q[%d],q[%d];", g.Q0, g.Q1)
-	case circuit.CZ:
-		return fmt.Sprintf("cz q[%d],q[%d];", g.Q0, g.Q1)
+	case circuit.H, circuit.X, circuit.Y, circuit.Z, circuit.RX, circuit.RY, circuit.RZ, circuit.U1,
+		circuit.U2, circuit.U3, circuit.CNOT, circuit.CZ, circuit.Swap:
+		b = append(b, g.Kind.String()...)
 	case circuit.CPhase:
-		return fmt.Sprintf("rzz(%.12g) q[%d],q[%d];", g.Params[0], g.Q0, g.Q1)
-	case circuit.Swap:
-		return fmt.Sprintf("swap q[%d],q[%d];", g.Q0, g.Q1)
+		b = append(b, "rzz"...)
 	case circuit.Measure:
-		return fmt.Sprintf("measure q[%d] -> c[%d];", g.Q0, g.Q0)
+		b = append(b, "measure q["...)
+		b = circuit.AppendQubit(b, g.Q0)
+		b = append(b, " -> c["...)
+		b = circuit.AppendQubit(b, g.Q0)
+		return append(b, ';')
 	case circuit.Barrier:
-		return "barrier q;"
+		return append(b, "barrier q;"...)
 	default:
 		panic("qasm: cannot export " + g.Kind.String())
 	}
+	if n := g.Kind.NumParams(); n > 0 {
+		b = append(b, '(')
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, g.Params[i], 'g', 12, 64)
+		}
+		b = append(b, ')')
+	}
+	b = append(b, " q["...)
+	b = circuit.AppendQubit(b, g.Q0)
+	if g.Arity() == 2 {
+		b = append(b, ",q["...)
+		b = circuit.AppendQubit(b, g.Q1)
+	}
+	return append(b, ';')
 }
 
 // Import parses an OpenQASM 2.0 program in the subset Export produces.

@@ -20,8 +20,15 @@ import (
 // to all waiters" a structural guarantee rather than a test-only
 // observation.
 type outcome struct {
-	circuitText string
-	qasm        string
+	// circuitJSON and qasmJSON are the circuit text and its OpenQASM export,
+	// each rendered once as a JSON string literal ready to frame into a
+	// response. qasmJSON is empty on an outcome bound for a request that did
+	// not ask for QASM; such an outcome keeps its skeleton entry and angles
+	// instead, from which a later request's response rebinds the export.
+	circuitJSON string
+	qasmJSON    string
+	skel        *skelEntry
+	gamma, beta []float64
 	swaps       int
 	depth       int
 	gates       int

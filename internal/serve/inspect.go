@@ -49,6 +49,15 @@ type RequestRecord struct {
 	Swaps           int     `json:"swaps,omitempty"`
 	Depth           int     `json:"depth,omitempty"`
 	Gates           int     `json:"gates,omitempty"`
+	// The phases of a successful request, from the handler's clock reads:
+	// decode and parse, cache lookup, angle bind, rendering and response
+	// framing, response write. A request that waited on a compile flight
+	// reports the flight under QueueWaitMS and the pass times instead.
+	DecodeMS float64 `json:"decode_ms,omitempty"`
+	LookupMS float64 `json:"lookup_ms,omitempty"`
+	BindMS   float64 `json:"bind_ms,omitempty"`
+	RenderMS float64 `json:"render_ms,omitempty"`
+	WriteMS  float64 `json:"write_ms,omitempty"`
 	// Trace carries the compile's decision-level trace events when the
 	// server runs with Config.TraceRequests (cache hits replay the events
 	// of the compile that filled the entry).

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/compile"
@@ -178,7 +181,7 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 		p.dev = dev
 		p.devName = req.DeviceName
-		p.deviceID = fmt.Sprintf("%s@%d", req.DeviceName, epoch)
+		p.deviceID = req.DeviceName + "@" + strconv.FormatInt(epoch, 10)
 	default:
 		return nil, fmt.Errorf("one of device or device_name is required")
 	}
@@ -262,14 +265,14 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 		canon[i] = wedge{u, v, w}
 	}
-	sort.Slice(canon, func(a, b int) bool {
-		if canon[a].u != canon[b].u {
-			return canon[a].u < canon[b].u
+	slices.SortFunc(canon, func(a, b wedge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		if canon[a].v != canon[b].v {
-			return canon[a].v < canon[b].v
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
-		return canon[a].w < canon[b].w
+		return cmp.Compare(a.w, b.w)
 	})
 	for i := 1; i < len(canon); i++ {
 		if canon[i].u == canon[i-1].u && canon[i].v == canon[i-1].v {
@@ -298,31 +301,84 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		p.paramSpec.Terms[i] = compile.WeightedTerm{U: e.u, V: e.v, Weight: e.w}
 	}
 
-	// Cache key: canonical graph hash × device(+epoch) × preset × config.
-	h := sha256.New()
-	fmt.Fprintf(h, "dev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
-		p.deviceID, p.preset, p.seed, p.packing, p.optimize, c.N, levels)
-	for l := 0; l < levels; l++ {
-		fmt.Fprintf(h, "level=%d gamma=%g beta=%g\n", l, gamma[l], beta[l])
-	}
-	for _, e := range canon {
-		fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
-	}
-	p.key = hex.EncodeToString(h.Sum(nil))
-
-	// Skeleton-tier key: the full key's layout minus the angle lines, plus a
-	// marker so the two keyspaces can never collide. Optimize requests get
-	// no skeleton key — their gate structure depends on the angles.
-	if !p.optimize {
-		h = sha256.New()
-		fmt.Fprintf(h, "skeleton\ndev=%s\npreset=%s\nseed=%d\npacking=%d\nn=%d\np=%d\n",
-			p.deviceID, p.preset, p.seed, p.packing, c.N, levels)
-		for _, e := range canon {
-			fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
-		}
-		p.skelKey = hex.EncodeToString(h.Sum(nil))
-	}
+	p.key, p.skelKey = cacheKeys(p)
 	return p, nil
+}
+
+// keyBufs pools the byte slices cache keys are built in.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// cacheKeys hashes the canonical request into its full key — graph ×
+// device(+epoch) × preset × config, angles included — and, except for
+// optimize requests, its skeleton-tier key: the full key's layout minus
+// the optimize and angle lines, plus a marker so the two keyspaces can
+// never collide. Optimize requests get no skeleton key, since their gate
+// structure depends on the angles.
+//
+// Both hash one appended buffer laid out as
+//
+//	skeleton\n | dev..packing | optimize | n, p | angle lines | edge lines
+//
+// so the full key is one contiguous tail and the edge lines are rendered
+// once for both. Numbers print as %d and %g would (strconv 'g', -1).
+func cacheKeys(p *parsedRequest) (key, skelKey string) {
+	kb := keyBufs.Get().(*[]byte)
+	b := append((*kb)[:0], "skeleton\n"...)
+	fullStart := len(b)
+	b = append(b, "dev="...)
+	b = append(b, p.deviceID...)
+	b = append(b, "\npreset="...)
+	b = append(b, p.preset.String()...)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendInt(b, p.seed, 10)
+	b = append(b, "\npacking="...)
+	b = strconv.AppendInt(b, int64(p.packing), 10)
+	optStart := len(b)
+	b = append(b, "\noptimize="...)
+	b = strconv.AppendBool(b, p.optimize)
+	shapeStart := len(b)
+	b = append(b, "\nn="...)
+	b = strconv.AppendInt(b, int64(p.paramSpec.N), 10)
+	b = append(b, "\np="...)
+	b = strconv.AppendInt(b, int64(p.paramSpec.P), 10)
+	b = append(b, '\n')
+	anglesStart := len(b)
+	for l := range p.gamma {
+		b = append(b, "level="...)
+		b = strconv.AppendInt(b, int64(l), 10)
+		b = append(b, " gamma="...)
+		b = strconv.AppendFloat(b, p.gamma[l], 'g', -1, 64)
+		b = append(b, " beta="...)
+		b = strconv.AppendFloat(b, p.beta[l], 'g', -1, 64)
+		b = append(b, '\n')
+	}
+	edgesStart := len(b)
+	for _, t := range p.paramSpec.Terms {
+		b = strconv.AppendInt(b, int64(t.U), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(t.V), 10)
+		b = append(b, ' ')
+		if t.Weight == 1 { // the default weight, and what %g prints for it
+			b = append(b, '1')
+		} else {
+			b = strconv.AppendFloat(b, t.Weight, 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+
+	var hexBuf [2 * sha256.Size]byte
+	sum := sha256.Sum256(b[fullStart:])
+	key = string(hex.AppendEncode(hexBuf[:0], sum[:]))
+	if !p.optimize {
+		h := sha256.New()
+		h.Write(b[:optStart])
+		h.Write(b[shapeStart:anglesStart])
+		h.Write(b[edgesStart:])
+		skelKey = string(hex.AppendEncode(hexBuf[:0], h.Sum(sum[:0])))
+	}
+	*kb = b
+	keyBufs.Put(kb)
+	return key, skelKey
 }
 
 // deviceFingerprint hashes the canonical JSON serialization of dev —

@@ -357,3 +357,58 @@ func TestPassTimesOnlyOnCompileFlight(t *testing.T) {
 		}
 	}
 }
+
+// Every successful request carries its own phases on both surfaces: a
+// cache or skeleton hit no longer reports only zero pass times. A
+// full-key hit that asks for QASM its bind did not render rebinds it, so
+// it reports a bind phase too. The phases never add up to more than the
+// request's duration.
+func TestRequestPhasesOnEveryHit(t *testing.T) {
+	logSink := &lockedBuffer{}
+	s, ts, _ := newTestServer(t, Config{Log: obsv.NewLogger(logSink)})
+
+	cold := angleRequest("tokyo", 8, 3, "IC", []float64{0.5}, []float64{0.2})
+	skelHit := angleRequest("tokyo", 8, 3, "IC", []float64{0.9}, []float64{0.1})
+	lazyQASM := cold
+	lazyQASM.Config.EmitQASM = true
+	reqs := []CompileRequest{cold, skelHit, cold, lazyQASM}
+	for _, req := range reqs {
+		if st, _, fail := postCompile(t, ts.URL, req); st != http.StatusOK {
+			t.Fatalf("status %d: %+v", st, fail)
+		}
+	}
+
+	phases := []string{obsv.FieldDecodeMS, obsv.FieldLookupMS, obsv.FieldBindMS, obsv.FieldRenderMS, obsv.FieldWriteMS}
+	for i, line := range waitForLines(t, logSink, len(reqs)) {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not one JSON object: %v\n%s", err, line)
+		}
+		for _, f := range phases {
+			if _, ok := ev[f].(float64); !ok {
+				t.Errorf("wide event %d lacks phase %s: %s", i, f, line)
+			}
+		}
+	}
+
+	_, recent := s.InspectorSnapshot()
+	if len(recent) != len(reqs) {
+		t.Fatalf("%d inspector records, want %d", len(recent), len(reqs))
+	}
+	for i, rec := range recent {
+		sum := rec.DecodeMS + rec.LookupMS + rec.BindMS + rec.RenderMS + rec.WriteMS
+		if rec.DecodeMS <= 0 || rec.RenderMS+rec.WriteMS <= 0 {
+			t.Errorf("record %d (%s): decode %v render %v write %v, want decode and response phases", i, rec.ID, rec.DecodeMS, rec.RenderMS, rec.WriteMS)
+		}
+		if sum > rec.DurationMS+0.001 { // the duration is truncated to whole µs
+			t.Errorf("record %d (%s): phases sum to %v ms, over the duration %v ms", i, rec.ID, sum, rec.DurationMS)
+		}
+	}
+	// recent is newest first: the lazy-QASM full-key hit, the full-key hit,
+	// the skeleton hit, the cold request.
+	if lazy, full, skel := recent[0], recent[1], recent[2]; !lazy.CacheHit || lazy.SkeletonHit || !full.CacheHit || !skel.SkeletonHit {
+		t.Fatalf("request classes out of order: %+v %+v %+v", lazy, full, skel)
+	} else if full.BindMS != 0 {
+		t.Errorf("full-key hit without QASM reports bind %v ms", full.BindMS)
+	}
+}

@@ -231,7 +231,11 @@ func (s *Server) mintRequestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-ID"); validRequestID(id) {
 		return id
 	}
-	return fmt.Sprintf("%s-%06d", s.idBase, s.reqSeq.Add(1))
+	seq := strconv.FormatUint(s.reqSeq.Add(1), 10)
+	if len(seq) < 6 {
+		seq = "000000"[len(seq):] + seq
+	}
+	return s.idBase + "-" + seq
 }
 
 // validRequestID bounds what the service echoes back into headers, logs and
@@ -340,6 +344,17 @@ func (s *Server) ReloadCalibration(name string, cal *device.Calibration) (epoch 
 type reqState struct {
 	rec   RequestRecord
 	start time.Time
+	mark  time.Time // end of the previous phase
+}
+
+// lap returns the milliseconds since the previous phase ended (or the
+// request started) and starts the next phase. Phases of a cache hit are
+// often under a microsecond, so unlike durMS a lap keeps nanoseconds.
+func (rs *reqState) lap() float64 {
+	now := time.Now()
+	d := now.Sub(rs.mark)
+	rs.mark = now
+	return float64(d.Nanoseconds()) / 1e6
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -350,7 +365,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	id := s.mintRequestID(r)
 	w.Header().Set("X-Request-ID", id)
 	start := time.Now()
-	rs := &reqState{start: start, rec: RequestRecord{
+	rs := &reqState{start: start, mark: start, rec: RequestRecord{
 		ID:        id,
 		StartedAt: start.UTC().Format(time.RFC3339Nano),
 		started:   start,
@@ -379,6 +394,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.finishRequest(rs, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	rs.rec.DecodeMS = rs.lap()
 
 	rs.rec.Device = p.devName
 	rs.rec.Preset = p.preset.String()
@@ -389,11 +405,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 
 	if out, ok := s.cache.get(p.key); ok {
-		s.obs.Inc(obsv.CntServeOK)
+		rs.rec.LookupMS = rs.lap()
 		rs.rec.CacheHit = true
-		rs.fillOutcome(out)
-		writeJSON(w, http.StatusOK, buildResponse(p, out, true))
-		s.finishRequest(rs, http.StatusOK, "ok", "")
+		s.respondOK(w, rs, p, out, true)
 		return
 	}
 
@@ -403,23 +417,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// full-key tier so the exact-angle repeat is a first-tier hit.
 	if p.skelKey != "" {
 		if se, ok := s.skels.get(p.skelKey); ok {
-			out, err := s.bindOutcome(p, se)
+			rs.rec.LookupMS = rs.lap()
+			out, err := s.bindOutcome(p, se, rs)
 			if err != nil {
-				s.obs.Inc(obsv.CntServeErrors)
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
-				s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
+				s.compileFailed(w, rs, err)
 				return
 			}
 			s.cache.put(p.key, p.deviceID, out)
-			s.obs.Inc(obsv.CntServeOK)
 			rs.rec.CacheHit = true
 			rs.rec.SkeletonHit = true
-			rs.fillOutcome(out)
-			writeJSON(w, http.StatusOK, buildResponse(p, out, true))
-			s.finishRequest(rs, http.StatusOK, "ok", "")
+			s.respondOK(w, rs, p, out, true)
 			return
 		}
 	}
+	rs.rec.LookupMS = rs.lap()
 
 	// Client wait budget: request deadline_ms, clamped, else the default.
 	wait := s.cfg.DefaultDeadline
@@ -443,6 +454,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	select {
 	case <-f.done:
+		// The wait on the flight is no phase of this request: the queue wait
+		// and the pass times account for it.
+		rs.mark = time.Now()
 		s.respondFlight(w, p, f, rs)
 	case <-ctx.Done():
 		if r.Context().Err() != nil {
@@ -455,6 +469,26 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Status: "error", Kind: "deadline", Error: "deadline exceeded waiting for compilation (the flight continues server-side)"})
 		s.finishRequest(rs, http.StatusGatewayTimeout, "deadline", "deadline exceeded waiting for compilation")
 	}
+}
+
+// respondOK writes out as this request's 200 response and closes the
+// request out.
+func (s *Server) respondOK(w http.ResponseWriter, rs *reqState, p *parsedRequest, out *outcome, cached bool) {
+	rs.fillOutcome(out)
+	if err := writeCompileResponse(w, rs, p, out, cached); err != nil {
+		s.compileFailed(w, rs, err)
+		return
+	}
+	s.obs.Inc(obsv.CntServeOK)
+	s.finishRequest(rs, http.StatusOK, "ok", "")
+}
+
+// compileFailed answers a request whose compiled artifact could not be
+// materialized with a 500 compile_failed.
+func (s *Server) compileFailed(w http.ResponseWriter, rs *reqState, err error) {
+	s.obs.Inc(obsv.CntServeErrors)
+	writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
+	s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
 }
 
 // fillOutcome copies a compiled outcome's observable facts onto the request
@@ -516,6 +550,11 @@ func (s *Server) finishRequest(rs *reqState, status int, outcome, errMsg string)
 		Float(obsv.FieldMapMS, rec.MapMS).
 		Float(obsv.FieldOrderMS, rec.OrderMS).
 		Float(obsv.FieldRouteMS, rec.RouteMS).
+		Float(obsv.FieldDecodeMS, rec.DecodeMS).
+		Float(obsv.FieldLookupMS, rec.LookupMS).
+		Float(obsv.FieldBindMS, rec.BindMS).
+		Float(obsv.FieldRenderMS, rec.RenderMS).
+		Float(obsv.FieldWriteMS, rec.WriteMS).
 		Float(obsv.FieldDurationMS, rec.DurationMS).
 		Str(obsv.FieldOutcome, rec.Outcome).
 		Int(obsv.FieldHTTPStatus, int64(rec.HTTPStatus)).
@@ -542,22 +581,17 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 			// different from every other waiter's — and caches the bound
 			// outcome under its own full key.
 			var err error
-			out, err = s.bindOutcome(p, f.skel)
+			out, err = s.bindOutcome(p, f.skel, rs)
 			if err != nil {
-				s.obs.Inc(obsv.CntServeErrors)
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
-				s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
+				s.compileFailed(w, rs, err)
 				return
 			}
 			s.cache.put(p.key, p.deviceID, out)
 		}
-		s.obs.Inc(obsv.CntServeOK)
-		rs.fillOutcome(out)
 		rs.rec.MapMS = durMS(out.mapTime)
 		rs.rec.OrderMS = durMS(out.orderTime)
 		rs.rec.RouteMS = durMS(out.routeTime)
-		writeJSON(w, http.StatusOK, buildResponse(p, out, false))
-		s.finishRequest(rs, http.StatusOK, "ok", "")
+		s.respondOK(w, rs, p, out, false)
 	case errors.Is(f.err, errShed):
 		s.obs.Inc(obsv.CntServeShed)
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
@@ -573,9 +607,7 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Status: "error", Kind: "deadline", Error: f.err.Error()})
 		s.finishRequest(rs, http.StatusGatewayTimeout, "deadline", f.err.Error())
 	default:
-		s.obs.Inc(obsv.CntServeErrors)
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: f.err.Error()})
-		s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", f.err.Error())
+		s.compileFailed(w, rs, f.err)
 	}
 }
 
@@ -657,7 +689,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		res, err = compile.CompileSpecResilient(cctx, p.spec, p.dev, start, fo)
 		if err == nil {
 			fb = res.Fallback
-			out = buildOutcome(p, res, start, rerouted, tr.Events())
+			out = buildOutcome(p, res, start, rerouted, tr.Events(), nil)
 			s.cache.put(p.key, p.deviceID, out)
 		}
 	}
@@ -680,15 +712,19 @@ var bindBufs = sync.Pool{New: func() any { return new(compile.BindBuffer) }}
 // bindOutcome materializes one request's angles over a cached routed
 // skeleton and freezes the result into an immutable outcome — the
 // skeleton-tier equivalent of a compile flight, minus all the routing work.
-func (s *Server) bindOutcome(p *parsedRequest, se *skelEntry) (*outcome, error) {
+// The bind and the rendering are the request's bind and render phases.
+func (s *Server) bindOutcome(p *parsedRequest, se *skelEntry, rs *reqState) (*outcome, error) {
 	buf := bindBufs.Get().(*compile.BindBuffer)
 	defer bindBufs.Put(buf)
 	res, err := se.skel.BindTo(buf, qaoa.Params{Gamma: p.gamma, Beta: p.beta})
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow poolsafe: buildOutcome deep-copies everything it keeps (strings, fresh layout slices); nothing in the outcome aliases buf — TestBindOutcomeCopiesPooledBuffer guards this
-	return buildOutcome(p, res, se.start, se.rerouted, se.trace), nil
+	rs.rec.BindMS += rs.lap()
+	//lint:allow poolsafe: buildOutcome deep-copies everything it keeps (rendered strings, fresh layout slices); nothing in the outcome aliases buf — TestBindOutcomeCopiesPooledBuffer guards this
+	out := buildOutcome(p, res, se.start, se.rerouted, se.trace, se)
+	rs.rec.RenderMS += rs.lap()
+	return out, nil
 }
 
 // attemptsOf extracts the failed-attempt list from a compile's fallback
@@ -710,11 +746,16 @@ func attemptsOf(fb *compile.FallbackInfo, err error, start compile.Preset) []com
 }
 
 // buildOutcome freezes a compile result into the immutable cached
-// artifact.
-func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, rerouted bool, trEvents []trace.Event) *outcome {
+// artifact, rendering its circuit text once. The QASM export is rendered
+// too unless res was bound from the skeleton entry se for a request that
+// did not ask for QASM: that outcome keeps se and the angles instead, and
+// a later request that asks for the export rebinds it.
+func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, rerouted bool, trEvents []trace.Event, se *skelEntry) *outcome {
+	rb := renderBufs.Get().(*renderBuf)
+	defer renderBufs.Put(rb)
+	rb.text = res.Circuit.AppendText(rb.text[:0])
 	out := &outcome{
-		circuitText:   res.Circuit.String(),
-		qasm:          qasm.Export(res.Native),
+		circuitJSON:   rb.literal(),
 		swaps:         res.SwapCount,
 		depth:         res.Depth,
 		gates:         res.GateCount,
@@ -730,6 +771,12 @@ func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, r
 		orderTime:     res.OrderTime,
 		routeTime:     res.RouteTime,
 		trace:         trEvents,
+	}
+	if se == nil || p.emitQASM {
+		rb.text = qasm.Append(rb.text[:0], res.Native)
+		out.qasmJSON = rb.literal()
+	} else {
+		out.skel, out.gamma, out.beta = se, p.gamma, p.beta
 	}
 	out.degraded = rerouted || res.Fallback.Degraded
 	switch {
@@ -764,30 +811,6 @@ func layoutSlice(l interface {
 		out[q] = l.Phys(q)
 	}
 	return out
-}
-
-func buildResponse(p *parsedRequest, out *outcome, cached bool) CompileResponse {
-	resp := CompileResponse{
-		Status:          "ok",
-		CacheKey:        p.key,
-		Cached:          cached,
-		Device:          out.deviceName,
-		PresetRequested: out.requested,
-		PresetEffective: out.effective,
-		Degraded:        out.degraded,
-		DegradedReason:  out.degradedWhy,
-		Attempts:        out.attempts,
-		Swaps:           out.swaps,
-		Depth:           out.depth,
-		Gates:           out.gates,
-		InitialLayout:   out.initial,
-		FinalLayout:     out.final,
-		Circuit:         out.circuitText,
-	}
-	if p.emitQASM {
-		resp.QASM = out.qasm
-	}
-	return resp
 }
 
 // handleCalibration accepts a full device document (the same schema as an

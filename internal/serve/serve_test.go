@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,8 @@ import (
 	"repro/internal/compile"
 	"repro/internal/device"
 	"repro/internal/obsv"
+	"repro/internal/qaoa"
+	"repro/internal/qasm"
 )
 
 // newTestServer builds a ready server plus its HTTP test harness.
@@ -823,56 +826,74 @@ func TestDistinctAngleSingleflight(t *testing.T) {
 // BindBuffer, so an outcome must not alias the buffer: the next bind
 // overwrites it. bindOutcome's contract (and its //lint:allow poolsafe
 // escape) is that buildOutcome deep-copies everything it keeps — this
-// test rebinds with different angles and asserts the first outcome is
-// bitwise untouched.
+// test rebinds with different angles and asserts the first outcomes, one
+// rendered with its QASM and one without, are bitwise untouched and still
+// render what a fresh, unpooled bind of their angles renders.
 func TestBindOutcomeCopiesPooledBuffer(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{})
 	if st, _, _ := postCompile(t, ts.URL, angleRequest("tokyo", 6, 3, "IC", []float64{0.1}, []float64{0.2})); st != http.StatusOK {
 		t.Fatal("warm compile failed")
 	}
 
+	parse := func(req CompileRequest) *parsedRequest {
+		t.Helper()
+		p, err := s.parseRequest(&req)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		return p
+	}
 	req1 := angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2})
-	req2 := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.7})
-	p1, err := s.parseRequest(&req1)
-	if err != nil {
-		t.Fatalf("parse req1: %v", err)
-	}
-	p2, err := s.parseRequest(&req2)
-	if err != nil {
-		t.Fatalf("parse req2: %v", err)
-	}
+	req1.Config.EmitQASM = true
+	p1 := parse(req1)
+	p1lazy := parse(angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2}))
+	p2 := parse(angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.7}))
 	se, ok := s.skels.get(p1.skelKey)
 	if !ok {
 		t.Fatalf("skeleton entry not cached under %q", p1.skelKey)
 	}
 
-	out1, err := s.bindOutcome(p1, se)
+	out1, err := s.bindOutcome(p1, se, new(reqState))
 	if err != nil {
 		t.Fatalf("first bind: %v", err)
 	}
-	circuit1 := out1.circuitText
-	qasm1 := out1.qasm
-	initial1 := append([]int(nil), out1.initial...)
-	final1 := append([]int(nil), out1.final...)
+	lazy1, err := s.bindOutcome(p1lazy, se, new(reqState))
+	if err != nil {
+		t.Fatalf("first bind without QASM: %v", err)
+	}
+	if out1.qasmJSON == "" || lazy1.qasmJSON != "" || lazy1.skel != se {
+		t.Fatalf("QASM rendering: emit_qasm outcome has %d bytes, lazy outcome %d bytes and skeleton %v",
+			len(out1.qasmJSON), len(lazy1.qasmJSON), lazy1.skel != nil)
+	}
+	type snapshot struct {
+		circuit, qasm  string
+		initial, final []int
+		gamma, beta    []float64
+	}
+	snap := func(o *outcome) snapshot {
+		return snapshot{o.circuitJSON, o.qasmJSON, append([]int(nil), o.initial...), append([]int(nil), o.final...),
+			append([]float64(nil), o.gamma...), append([]float64(nil), o.beta...)}
+	}
+	before1, beforeLazy := snap(out1), snap(lazy1)
 
-	out2, err := s.bindOutcome(p2, se)
+	out2, err := s.bindOutcome(p2, se, new(reqState))
 	if err != nil {
 		t.Fatalf("second bind: %v", err)
 	}
-	if out2.circuitText == circuit1 {
+	if out2.circuitJSON == before1.circuit {
 		t.Fatal("distinct angles bound to identical circuits; the test is not exercising a rebind")
 	}
-	if out1.circuitText != circuit1 || out1.qasm != qasm1 {
-		t.Error("first outcome's circuit changed after the pooled buffer was rebound")
+	if !reflect.DeepEqual(snap(out1), before1) || !reflect.DeepEqual(snap(lazy1), beforeLazy) {
+		t.Error("a first outcome changed after the pooled buffer was rebound")
 	}
-	for i := range initial1 {
-		if out1.initial[i] != initial1[i] {
-			t.Fatalf("first outcome's initial layout changed after rebind at %d", i)
-		}
+
+	fresh, err := se.skel.Bind(qaoa.Params{Gamma: []float64{0.5}, Beta: []float64{0.2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range final1 {
-		if out1.final[i] != final1[i] {
-			t.Fatalf("first outcome's final layout changed after rebind at %d", i)
-		}
+	wantCircuit, _ := json.Marshal(fresh.Circuit.String())
+	wantQASM, _ := json.Marshal(qasm.Export(fresh.Native))
+	if out1.circuitJSON != string(wantCircuit) || lazy1.circuitJSON != string(wantCircuit) || out1.qasmJSON != string(wantQASM) {
+		t.Error("rendered outcome differs from a fresh bind of the same angles")
 	}
 }
