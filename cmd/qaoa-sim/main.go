@@ -34,6 +34,11 @@ func main() {
 		rev     = flag.String("rev", "", "revision stamped into the metrics report (default $GITHUB_SHA, then \"dev\")")
 	)
 	flag.Parse()
+	if *shots < 1 || *traj < 1 {
+		fmt.Fprintln(os.Stderr, "qaoa-sim: -shots and -traj must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*nodes, *degree, *method, *shots, *traj, *seed, *mit, *timeout, *metrics, *rev); err != nil {
 		fmt.Fprintln(os.Stderr, "qaoa-sim:", err)
 		os.Exit(1)

@@ -59,7 +59,7 @@ import (
 // version participates in the go command's content-based vet caching: it
 // must change when the analyzers change behavior, or cached clean results
 // would mask new diagnostics. Bump on any analyzer change.
-const version = "qaoalint-2.0.0"
+const version = "qaoalint-2.1.0"
 
 var all = buildAll()
 

@@ -14,10 +14,7 @@
 //
 //   - defer — per-call overhead and a closure allocation in loops;
 //   - function literals — a heap allocation per evaluation once captured
-//     variables escape. Closures passed directly to parallelFor are the
-//     one sanctioned exception: that is the fan-out harness itself, one
-//     closure per kernel invocation, amortized over ≥ParallelThreshold
-//     amplitudes;
+//     variables escape;
 //   - any call into package fmt — formatting allocates and walks
 //     reflection;
 //   - explicit conversions to an interface type, and calls whose final
@@ -29,7 +26,7 @@
 // Call-graph checks (the transitive proof):
 //
 //   - a call to a same-package function must target another //qaoa:hotpath
-//     function (or parallelFor), so the allocation-free property is
+//     function, so the allocation-free property is
 //     inductively established over the whole call tree;
 //   - a call into another package must be on the allowlist of packages
 //     known allocation-free (math, math/bits, math/cmplx, math/rand,
@@ -118,8 +115,7 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, annotated map[*types.Func]
 		case *ast.DeferStmt:
 			pass.Reportf(n.Pos(), "defer in hotpath function %s", name)
 		case *ast.FuncLit:
-			// Allowed only as a direct argument to parallelFor.
-			return true // reported (or not) at the enclosing CallExpr below
+			pass.Reportf(n.Pos(), "closure allocated in hotpath function %s", name)
 		case *ast.CallExpr:
 			checkCall(pass, n, name, annotated)
 		case *ast.AssignStmt:
@@ -131,47 +127,6 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, annotated map[*types.Func]
 		}
 		return true
 	})
-	// Closures: a second pass so the parallelFor carve-out can look at the
-	// closure's call-argument position.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && isParallelFor(pass, call) {
-			// Descend into the closure body but skip reporting the literal
-			// itself.
-			for _, arg := range call.Args {
-				if fl, ok := arg.(*ast.FuncLit); ok {
-					checkNestedLits(pass, fl.Body, name)
-				}
-			}
-			return false
-		}
-		if fl, ok := n.(*ast.FuncLit); ok {
-			pass.Reportf(fl.Pos(), "closure allocated in hotpath function %s (only parallelFor fan-out closures are exempt)", name)
-			return false
-		}
-		return true
-	})
-}
-
-// checkNestedLits reports closures nested inside an exempted parallelFor
-// closure body.
-func checkNestedLits(pass *analysis.Pass, body *ast.BlockStmt, name string) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			pass.Reportf(fl.Pos(), "closure allocated in hotpath function %s (only parallelFor fan-out closures are exempt)", name)
-			return false
-		}
-		return true
-	})
-}
-
-func isParallelFor(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	return ok && fn.Name() == "parallelFor"
 }
 
 // checkMapWrite flags assignments through a map index.
@@ -217,7 +172,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, name string, annotated m
 	if dynamic {
 		if fn != nil {
 			pass.Reportf(call.Pos(), "dynamic dispatch to %s in hotpath function %s: interface targets cannot be proven allocation-free", fn.Name(), name)
-		} else if !isParallelFor(pass, call) {
+		} else {
 			pass.Reportf(call.Pos(), "call through a function value in hotpath function %s: the target cannot be proven allocation-free", name)
 		}
 		return
@@ -242,7 +197,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, name string, annotated m
 	// The transitive proof: same-package callees must carry the
 	// annotation; foreign callees must be allowlisted.
 	if fn.Pkg() == pass.Pkg {
-		if annotated[fn] || fn.Name() == "parallelFor" {
+		if annotated[fn] {
 			return
 		}
 		pass.Reportf(call.Pos(), "call to %s in hotpath function %s: callee is not annotated //qaoa:hotpath", fn.Name(), name)

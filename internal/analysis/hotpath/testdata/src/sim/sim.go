@@ -9,21 +9,19 @@ import (
 	"sim2"
 )
 
-// parallelFor is the fixture twin of the simulator's fan-out harness.
+// parallelFor is the fixture twin of the simulator's fan-out harness. No
+// hot kernel may use it: the closure it takes is flagged like any other.
 func parallelFor(n int, f func(lo, hi int)) { f(0, n) }
 
 var amps = make([]float64, 1024)
 
-// kernel is a compliant hot kernel: the parallelFor closure is the one
-// sanctioned literal.
+// kernel is a compliant hot kernel: one serial loop.
 //
 //qaoa:hotpath
 func kernel(scale float64) {
-	parallelFor(len(amps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			amps[i] *= scale
-		}
-	})
+	for i := range amps {
+		amps[i] *= scale
+	}
 }
 
 // slowKernel collects the rejected constructs.
@@ -33,7 +31,8 @@ func slowKernel(scale float64) {
 	defer fmt.Println("done")        // want `defer in hotpath function slowKernel` `fmt.Println call in hotpath function slowKernel`
 	f := func() { amps[0] *= scale } // want `closure allocated in hotpath function slowKernel`
 	f()                              // want `call through a function value in hotpath function slowKernel`
-	parallelFor(len(amps), func(lo, hi int) {
+
+	parallelFor(len(amps), func(lo, hi int) { // want `call to parallelFor in hotpath function slowKernel: callee is not annotated //qaoa:hotpath` `closure allocated in hotpath function slowKernel`
 		g := func(i int) { amps[i] *= scale } // want `closure allocated in hotpath function slowKernel`
 		for i := lo; i < hi; i++ {
 			g(i) // want `call through a function value in hotpath function slowKernel`
@@ -77,14 +76,14 @@ type stringer interface{ Len() int }
 //
 //qaoa:hotpath
 func growKernel(buf []float64, m map[int]int, s stringer) []float64 {
-	buf = append(buf, 1) // want `append in hotpath function growKernel may grow its backing array`
-	m[1] = 2             // want `map write in hotpath function growKernel may rehash and allocate`
-	m[1]++               // want `map write in hotpath function growKernel may rehash and allocate`
-	_ = expand(3)        // proven: annotated callee
-	_ = helper(3)        // want `call to helper in hotpath function growKernel: callee is not annotated //qaoa:hotpath`
-	_ = math.Sqrt(2)        // allowlisted foreign package
-	_ = sim2.Fidelity(buf)  // want `call to sim2\.Fidelity in hotpath function growKernel: foreign callee is outside the hotpath allowlist`
-	_ = s.Len()             // want `dynamic dispatch to Len in hotpath function growKernel: interface targets cannot be proven allocation-free`
+	buf = append(buf, 1)   // want `append in hotpath function growKernel may grow its backing array`
+	m[1] = 2               // want `map write in hotpath function growKernel may rehash and allocate`
+	m[1]++                 // want `map write in hotpath function growKernel may rehash and allocate`
+	_ = expand(3)          // proven: annotated callee
+	_ = helper(3)          // want `call to helper in hotpath function growKernel: callee is not annotated //qaoa:hotpath`
+	_ = math.Sqrt(2)       // allowlisted foreign package
+	_ = sim2.Fidelity(buf) // want `call to sim2\.Fidelity in hotpath function growKernel: foreign callee is outside the hotpath allowlist`
+	_ = s.Len()            // want `dynamic dispatch to Len in hotpath function growKernel: interface targets cannot be proven allocation-free`
 	return buf
 }
 

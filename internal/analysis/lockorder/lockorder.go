@@ -31,13 +31,13 @@ import (
 // and the skeleton LRU — is innermost: holding a cache mutex forbids
 // acquiring any serve lock, including the other cache tier.
 var Tiers = map[string]int{
-	"ObsServer.mu": 10, // readiness flips around the observability endpoint
-	"inspector.mu": 20, // request-record ring
-	"admission.mu": 30, // queue-depth accounting
-	"breaker.mu":   40, // per-preset breaker state
+	"ObsServer.mu":   10, // readiness flips around the observability endpoint
+	"inspector.mu":   20, // request-record ring
+	"admission.mu":   30, // queue-depth accounting
+	"breaker.mu":     40, // per-preset breaker state
 	"flightGroup.mu": 50, // singleflight join/finish surgery
-	"registry.mu":  60, // device snapshot swap
-	"lru.mu":       70, // both cache tiers; innermost, nothing nests inside
+	"registry.mu":    60, // device snapshot swap
+	"lru.mu":         70, // both cache tiers; innermost, nothing nests inside
 }
 
 // bannedPackages may not be called while holding any serve lock: compile

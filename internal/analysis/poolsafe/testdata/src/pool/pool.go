@@ -9,9 +9,9 @@ var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 64) }}
 
 // getBuf and putBuf are the hand-rolled wrapper pair the classifier must
 // discover: getBuf reaches Pool.Get and returns; putBuf Puts its param.
-func getBuf() []byte      { return bufPool.Get().([]byte)[:0] }
-func putBuf(b []byte)     { bufPool.Put(b[:0]) }
-func recycle(b []byte)    { putBuf(b) } // a releaser through a releaser
+func getBuf() []byte       { return bufPool.Get().([]byte)[:0] }
+func putBuf(b []byte)      { bufPool.Put(b[:0]) }
+func recycle(b []byte)     { putBuf(b) } // a releaser through a releaser
 func view(b []byte) []byte { return b[:len(b):len(b)] }
 
 var sink []byte

@@ -38,6 +38,7 @@ func ReverseTraversalMapping(spec Spec, dev *device.Device, iterations int, o Op
 	}
 	r := router.New(dev)
 	r.LookaheadWeight = o.LookaheadWeight
+	r.Obs = o.Obs // the map pass's 2·iterations routes count as routing work
 	for it := 0; it < iterations; it++ {
 		fwd, err := r.Route(forward, current)
 		if err != nil {

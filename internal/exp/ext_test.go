@@ -3,6 +3,12 @@ package exp
 import (
 	"context"
 	"testing"
+
+	"repro/internal/compile"
+	"repro/internal/device"
+	"repro/internal/graphs"
+	"repro/internal/obsv"
+	"repro/internal/qaoa"
 )
 
 func TestExtLevelsScaling(t *testing.T) {
@@ -44,12 +50,27 @@ func TestExtMappersOrdering(t *testing.T) {
 	if revSwaps >= randSwaps {
 		t.Errorf("reverse traversal swaps %v not below random %v", revSwaps, randSwaps)
 	}
-	// Reverse traversal pays in mapping time (it routes the circuit 2k
-	// times); QAIM must be far cheaper.
-	qaimMs, _ := tb.Lookup("qaim", "map ms")
-	revMs, _ := tb.Lookup("reverse-traversal", "map ms")
-	if revMs <= qaimMs {
-		t.Errorf("reverse traversal map time %v not above QAIM %v", revMs, qaimMs)
+	if _, ok := tb.Lookup("reverse-traversal", "map ms"); !ok {
+		t.Error("table lost its map ms column")
+	}
+	// Reverse traversal pays in mapping work: it routes the circuit 2k
+	// times before the compile's own routing pass, where QAIM routes none.
+	// Counted, not timed, so the assertion is deterministic.
+	routes := func(mapper compile.Mapper) int64 {
+		g, err := graphs.RandomRegular(cfg.Nodes, cfg.Degree, instanceRNG(cfg.Seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obsv.New()
+		opts := compile.Options{Mapper: mapper, Strategy: compile.WholeRandom, Rng: instanceRNG(cfg.Seed, 0), Obs: col}
+		if _, err := compile.CompileContext(context.Background(), &qaoa.Problem{G: g, MaxCut: 1}, structuralParams, device.Tokyo20(), opts); err != nil {
+			t.Fatal(err)
+		}
+		return col.Counter(obsv.CntRouterRoutes)
+	}
+	const k = 3 // the default ReverseIterations
+	if qaim, rev := routes(compile.MapQAIM), routes(compile.MapReverse); rev != qaim+2*k {
+		t.Errorf("reverse traversal routed %d times, QAIM %d: want QAIM + 2k = %d", rev, qaim, qaim+2*k)
 	}
 }
 

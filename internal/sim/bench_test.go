@@ -83,6 +83,19 @@ func BenchmarkRunQAOALayer(b *testing.B) {
 	}
 }
 
+// BenchmarkRunQAOALayer20 measures the same circuit on 20 qubits, where the
+// register no longer fits in cache: the large-register path of the serial
+// kernels.
+func BenchmarkRunQAOALayer20(b *testing.B) {
+	c := qaoaLayerCircuit(20)
+	s := NewState(20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		s.Run(c)
+	}
+}
+
 // BenchmarkRunCompiledStyle measures ideal execution of a routed-flavor
 // circuit (15 qubits, 300 gates — the melbourne ARG scale).
 func BenchmarkRunCompiledStyle(b *testing.B) {

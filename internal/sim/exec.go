@@ -419,7 +419,11 @@ type trajPlan struct {
 // the executor's circuit, spread over the given number of independent
 // Pauli-fault trajectories, applying readout bit-flips to every sample.
 // Results are deterministic in rng's state and independent of GOMAXPROCS.
+// Zero shots return an empty slice without drawing from rng.
 func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *rand.Rand) []uint64 {
+	if shots <= 0 {
+		return []uint64{}
+	}
 	col := Collector()
 	span := col.StartSpan(obsv.SpanSimSampleNoisy)
 	defer span.End()

@@ -18,8 +18,10 @@ import (
 //
 //   - consecutive 1Q gates on the same qubit fold into a single 2×2 matrix;
 //   - maximal runs of diagonal gates (Z, RZ, U1, CZ, CPhase) coalesce into
-//     one per-amplitude phase sweep: a global factor times a product of
-//     per-term factors selected by bit masks of the basis index;
+//     one diagonal op: a global factor times a product of per-term factors
+//     selected by bit masks of the basis index, one term per distinct mask,
+//     each applied as a pass over the half or quarter of the state it
+//     changes;
 //   - CNOT and Swap stay as dedicated permutation kernels.
 //
 // Correctness is by per-qubit order preservation: a gate may only be folded
@@ -276,16 +278,6 @@ func termFac(t *diagTerm, x uint64) complex128 {
 	return t.fac[sel]
 }
 
-// diagSweepMin is the state size (in amplitudes) above which a multi-term
-// diagonal run executes as one combined per-amplitude sweep. Below it the
-// state lives in cache and per-term subset passes win: every term mask has
-// at most two bits (1Q diagonals and controlled phases), so a term touches
-// only the half or quarter of the state its factors actually change, with
-// no per-amplitude selection logic at all. Above it the state streams from
-// memory and a single pass over the amplitudes beats re-streaming them once
-// per term.
-const diagSweepMin = 1 << 20
-
 // applyDiag multiplies every amplitude by the run's phase: the global
 // factor (1 after Fuse's finalize pass whenever terms exist) times each
 // term's mask-selected factor.
@@ -296,15 +288,9 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 		if global == 1 {
 			return
 		}
-		parallelFor(len(s.Amp), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.Amp[i] *= global
-			}
-		})
-		return
-	}
-	if len(terms) > 1 && len(s.Amp) >= diagSweepMin {
-		s.diagSweep(global, terms)
+		for i := range s.Amp {
+			s.Amp[i] *= global
+		}
 		return
 	}
 	for t := range terms {
@@ -319,43 +305,27 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 		case 2:
 			s.applyTerm2(tm.mask, tm.parity, f0, f1)
 		default:
-			t0 := *tm
-			parallelFor(len(s.Amp), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					s.Amp[i] *= termFac(&t0, uint64(i))
-				}
-			})
+			for i := range s.Amp {
+				s.Amp[i] *= termFac(tm, uint64(i))
+			}
 		}
 	}
 }
 
 // applyTerm1 applies a single-bit diagonal term: fac[0] on the bit-clear
-// half, fac[1] on the bit-set half. The kernels below build their
-// parallelFor closure only on the fan-out path, so serial passes allocate
-// nothing.
+// half, fac[1] on the bit-set half.
 //
 //qaoa:hotpath
 func (s *State) applyTerm1(b int, f0, f1 complex128) {
 	n := len(s.Amp) >> 1
-	if n <= ParallelThreshold {
-		s.term1(0, n, b, f0, f1)
-		return
-	}
-	parallelFor(n, func(klo, khi int) { s.term1(klo, khi, b, f0, f1) })
-}
-
-// term1 is applyTerm1 over the amplitude pairs [klo, khi).
-//
-//qaoa:hotpath
-func (s *State) term1(klo, khi, b int, f0, f1 complex128) {
 	bm := b - 1
 	if f0 == 1 {
-		for k := klo; k < khi; k++ {
+		for k := 0; k < n; k++ {
 			s.Amp[(k&^bm)<<1|k&bm|b] *= f1
 		}
 		return
 	}
-	for k := klo; k < khi; k++ {
+	for k := 0; k < n; k++ {
 		i := (k&^bm)<<1 | k&bm
 		s.Amp[i] *= f0
 		s.Amp[i|b] *= f1
@@ -369,33 +339,22 @@ func (s *State) term1(klo, khi, b int, f0, f1 complex128) {
 //qaoa:hotpath
 func (s *State) applyTerm2(mask uint64, parity bool, f0, f1 complex128) {
 	n := len(s.Amp) >> 2
-	if n <= ParallelThreshold {
-		s.term2(0, n, mask, parity, f0, f1)
-		return
-	}
-	parallelFor(n, func(klo, khi int) { s.term2(klo, khi, mask, parity, f0, f1) })
-}
-
-// term2 is applyTerm2 over the quarter indices [klo, khi).
-//
-//qaoa:hotpath
-func (s *State) term2(klo, khi int, mask uint64, parity bool, f0, f1 complex128) {
 	lo := int(mask & -mask)
 	hi := int(mask) &^ lo
 	both := int(mask)
 	switch {
 	case f0 == 1 && parity:
-		for k := klo; k < khi; k++ {
+		for k := 0; k < n; k++ {
 			i := expand2(k, lo, hi)
 			s.Amp[i|lo] *= f1
 			s.Amp[i|hi] *= f1
 		}
 	case f0 == 1:
-		for k := klo; k < khi; k++ {
+		for k := 0; k < n; k++ {
 			s.Amp[expand2(k, lo, hi)|both] *= f1
 		}
 	case parity:
-		for k := klo; k < khi; k++ {
+		for k := 0; k < n; k++ {
 			i := expand2(k, lo, hi)
 			s.Amp[i] *= f0
 			s.Amp[i|lo] *= f1
@@ -403,7 +362,7 @@ func (s *State) term2(klo, khi int, mask uint64, parity bool, f0, f1 complex128)
 			s.Amp[i|both] *= f0
 		}
 	default:
-		for k := klo; k < khi; k++ {
+		for k := 0; k < n; k++ {
 			i := expand2(k, lo, hi)
 			s.Amp[i] *= f0
 			s.Amp[i|lo] *= f0
@@ -411,32 +370,6 @@ func (s *State) term2(klo, khi int, mask uint64, parity bool, f0, f1 complex128)
 			s.Amp[i|both] *= f1
 		}
 	}
-}
-
-// diagSweep is the single-pass form of a multi-term run for
-// memory-bound state sizes: per amplitude the term factors accumulate into
-// four independent products so the complex multiplies pipeline instead of
-// forming one serial dependency chain.
-//
-//qaoa:hotpath
-func (s *State) diagSweep(global complex128, terms []diagTerm) {
-	parallelFor(len(s.Amp), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x := uint64(i)
-			f0, f1, f2, f3 := global, complex(1, 0), complex(1, 0), complex(1, 0)
-			t := 0
-			for ; t+4 <= len(terms); t += 4 {
-				f0 *= termFac(&terms[t], x)
-				f1 *= termFac(&terms[t+1], x)
-				f2 *= termFac(&terms[t+2], x)
-				f3 *= termFac(&terms[t+3], x)
-			}
-			for ; t < len(terms); t++ {
-				f0 *= termFac(&terms[t], x)
-			}
-			s.Amp[i] *= (f0 * f1) * (f2 * f3)
-		}
-	})
 }
 
 // apply executes ops [from, to) of the program on s without touching the

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Histogram counts measurement outcomes.
 func Histogram(samples []uint64) map[uint64]int {
@@ -14,40 +11,13 @@ func Histogram(samples []uint64) map[uint64]int {
 	return h
 }
 
-// TotalVariation returns the total-variation distance between two outcome
-// histograms (each normalized to a distribution first): ½ Σ|p−q| ∈ [0,1].
-func TotalVariation(p, q map[uint64]int) float64 {
-	var np, nq float64
-	for _, c := range p {
-		np += float64(c)
-	}
-	for _, c := range q {
-		nq += float64(c)
-	}
-	if np == 0 || nq == 0 {
-		return 0
-	}
-	keys := make(map[uint64]bool, len(p)+len(q))
-	for k := range p {
-		keys[k] = true
-	}
-	for k := range q {
-		keys[k] = true
-	}
-	var tv float64
-	for k := range keys {
-		tv += math.Abs(float64(p[k])/np - float64(q[k])/nq)
-	}
-	return tv / 2
-}
-
 // MitigateReadout inverts independent per-qubit readout errors on a
 // measured histogram: each qubit's confusion matrix [[1−e, e],[e, 1−e]] is
 // inverted and applied to the outcome distribution, recovering an unbiased
 // estimate of the pre-readout probabilities (the standard tensored
 // measurement-error mitigation). The result is a quasi-probability vector
 // over all 2^n outcomes — entries may dip slightly below zero at finite
-// shots; ClampDistribution projects it back to a proper distribution.
+// shots.
 // Error rates must be below 0.5 (beyond that the channel is not invertible
 // in a useful direction).
 func MitigateReadout(counts map[uint64]int, n int, readout []float64) ([]float64, error) {
@@ -94,25 +64,6 @@ func MitigateReadout(counts map[uint64]int, n int, readout []float64) ([]float64
 		}
 	}
 	return p, nil
-}
-
-// ClampDistribution projects a quasi-probability vector onto the
-// probability simplex by zeroing negative entries and renormalizing.
-func ClampDistribution(p []float64) []float64 {
-	out := make([]float64, len(p))
-	var sum float64
-	for i, v := range p {
-		if v > 0 {
-			out[i] = v
-			sum += v
-		}
-	}
-	if sum > 0 {
-		for i := range out {
-			out[i] /= sum
-		}
-	}
-	return out
 }
 
 // ExpectationFromDistribution evaluates a diagonal observable against an

@@ -17,18 +17,18 @@ func TestHistogram(t *testing.T) {
 
 func TestTotalVariation(t *testing.T) {
 	a := map[uint64]int{0: 50, 1: 50}
-	if tv := TotalVariation(a, a); tv != 0 {
+	if tv := totalVariation(a, a); tv != 0 {
 		t.Errorf("TV(a,a) = %v", tv)
 	}
 	b := map[uint64]int{2: 10}
-	if tv := TotalVariation(a, b); math.Abs(tv-1) > 1e-12 {
+	if tv := totalVariation(a, b); math.Abs(tv-1) > 1e-12 {
 		t.Errorf("TV(disjoint) = %v, want 1", tv)
 	}
 	c := map[uint64]int{0: 100}
-	if tv := TotalVariation(a, c); math.Abs(tv-0.5) > 1e-12 {
+	if tv := totalVariation(a, c); math.Abs(tv-0.5) > 1e-12 {
 		t.Errorf("TV = %v, want 0.5", tv)
 	}
-	if tv := TotalVariation(a, map[uint64]int{}); tv != 0 {
+	if tv := totalVariation(a, map[uint64]int{}); tv != 0 {
 		t.Errorf("TV against empty = %v", tv)
 	}
 }
@@ -77,7 +77,7 @@ func TestMitigateReadoutErrors(t *testing.T) {
 }
 
 func TestClampDistribution(t *testing.T) {
-	p := ClampDistribution([]float64{0.6, -0.1, 0.5})
+	p := clampDistribution([]float64{0.6, -0.1, 0.5})
 	if p[1] != 0 {
 		t.Errorf("negative entry survived: %v", p)
 	}
@@ -88,7 +88,7 @@ func TestClampDistribution(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("not renormalized: sum %v", sum)
 	}
-	if z := ClampDistribution([]float64{-1, -2}); z[0] != 0 || z[1] != 0 {
+	if z := clampDistribution([]float64{-1, -2}); z[0] != 0 || z[1] != 0 {
 		t.Errorf("all-negative input: %v", z)
 	}
 }
@@ -109,14 +109,14 @@ func TestMitigationImprovesBellFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clamped := ClampDistribution(mitigated)
+	clamped := clampDistribution(mitigated)
 	// Convert to pseudo-count histograms for the TV comparison.
 	mitCounts := map[uint64]int{}
 	for x, v := range clamped {
 		mitCounts[uint64(x)] = int(v * 1e6)
 	}
-	before := TotalVariation(noisy, idealCounts)
-	after := TotalVariation(mitCounts, idealCounts)
+	before := totalVariation(noisy, idealCounts)
+	after := totalVariation(mitCounts, idealCounts)
 	if after >= before {
 		t.Errorf("mitigation did not help: TV %v → %v", before, after)
 	}
@@ -131,4 +131,50 @@ func TestExpectationFromDistribution(t *testing.T) {
 	if math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("expectation = %v", got)
 	}
+}
+
+// totalVariation returns the total-variation distance between two outcome
+// histograms (each normalized to a distribution first): ½ Σ|p−q| ∈ [0,1].
+func totalVariation(p, q map[uint64]int) float64 {
+	var np, nq float64
+	for _, c := range p {
+		np += float64(c)
+	}
+	for _, c := range q {
+		nq += float64(c)
+	}
+	if np == 0 || nq == 0 {
+		return 0
+	}
+	keys := make(map[uint64]bool, len(p)+len(q))
+	for k := range p {
+		keys[k] = true
+	}
+	for k := range q {
+		keys[k] = true
+	}
+	var tv float64
+	for k := range keys {
+		tv += math.Abs(float64(p[k])/np - float64(q[k])/nq)
+	}
+	return tv / 2
+}
+
+// clampDistribution projects a quasi-probability vector onto the
+// probability simplex by zeroing negative entries and renormalizing.
+func clampDistribution(p []float64) []float64 {
+	out := make([]float64, len(p))
+	var sum float64
+	for i, v := range p {
+		if v > 0 {
+			out[i] = v
+			sum += v
+		}
+	}
+	if sum > 0 {
+		for i := range out {
+			out[i] /= sum
+		}
+	}
+	return out
 }

@@ -53,14 +53,6 @@ func (nm *NoiseModel) twoQubitError(a, b int) float64 {
 	return nm.TwoQubitDefault
 }
 
-// injectPauli2 applies a uniformly random non-identity two-qubit Pauli
-// (one of the 15 products P⊗Q ≠ I⊗I) to qubits a, b.
-func injectPauli2(s *State, a, b int, rng *rand.Rand) {
-	k := 1 + rng.Intn(15) // 1..15, base-4 digits choose I/X/Y/Z per qubit
-	applyPauliDigit(s, a, k&3)
-	applyPauliDigit(s, b, (k>>2)&3)
-}
-
 func applyPauliDigit(s *State, q, digit int) {
 	switch digit {
 	case 1:

@@ -132,26 +132,33 @@ func TestNoiseDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestInjectPauli2CoversBothQubits checks drawFaults' two-qubit digit
+// split: a faulting two-qubit gate draws one of the 15 non-identity
+// products P⊗Q, and every one of them occurs, so faults reach each qubit.
 func TestInjectPauli2CoversBothQubits(t *testing.T) {
-	// Statistically, two-qubit faults must sometimes touch each qubit.
+	c := circuit.New(2).Append(circuit.NewCNOT(0, 1))
+	nm := &NoiseModel{TwoQubitDefault: 1}
 	rng := rand.New(rand.NewSource(8))
-	touched0, touched1 := false, false
-	for i := 0; i < 200 && !(touched0 && touched1); i++ {
-		s := NewState(2)
-		injectPauli2(s, 0, 1, rng)
-		// A fault changes the ground state iff it includes X or Y.
-		if s.Probability(0) < 0.5 {
-			p1 := s.Probability(1) + s.Probability(3)
-			p2 := s.Probability(2) + s.Probability(3)
-			if p1 > 0.5 {
-				touched0 = true
-			}
-			if p2 > 0.5 {
-				touched1 = true
+	var seen [4][4]bool
+	for i := 0; i < 400; i++ {
+		faults := drawFaults(c, nm, rng, nil)
+		if len(faults) != 1 {
+			t.Fatalf("a CNOT with fault probability 1 drew %d faults", len(faults))
+		}
+		f := faults[0]
+		if f.q0 != 0 || f.q1 != 1 {
+			t.Fatalf("fault on qubits (%d, %d), want (0, 1)", f.q0, f.q1)
+		}
+		if f.d0 == 0 && f.d1 == 0 {
+			t.Fatal("two-qubit fault drew the identity I⊗I")
+		}
+		seen[f.d0][f.d1] = true
+	}
+	for d0 := 0; d0 < 4; d0++ {
+		for d1 := 0; d1 < 4; d1++ {
+			if !seen[d0][d1] && (d0 != 0 || d1 != 0) {
+				t.Errorf("Pauli digits (%d, %d) never drawn", d0, d1)
 			}
 		}
-	}
-	if !touched0 || !touched1 {
-		t.Error("two-qubit Pauli injection never flipped one of the qubits")
 	}
 }

@@ -5,16 +5,17 @@ import (
 	"sync"
 )
 
-// ParallelThreshold is the amplitude count above which gate application
-// fans out across CPU cores. States at or below it (≤ 17 qubits, the scale
-// of the paper's experiments) stay single-threaded — goroutine overhead
-// dominates there.
-var ParallelThreshold = 1 << 18
+// parallelThreshold is the amplitude count above which ApplyZZ fans out
+// across CPU cores. Every other kernel is one serial loop at any size: on
+// fused programs the fan-out measured slower than the serial kernels, and
+// parallelism lives at trajectory level instead (replayFaulty, forEachPlan).
+// A var so tests can force either path.
+var parallelThreshold = 1 << 18
 
 // parallelFor runs f over [0,n) in contiguous chunks across GOMAXPROCS
-// goroutines when n exceeds ParallelThreshold, serially otherwise.
+// goroutines when n exceeds parallelThreshold, serially otherwise.
 func parallelFor(n int, f func(lo, hi int)) {
-	if n <= ParallelThreshold {
+	if n <= parallelThreshold {
 		f(0, n)
 		return
 	}
@@ -36,24 +37,4 @@ func parallelFor(n int, f func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// apply1QParallel is the fan-out variant of Apply1Q: amplitude pair k is
-// (i, i|bit) with i = (k &^ (bit−1))<<1 | (k & (bit−1)); pairs are
-// independent, so chunking over k is safe.
-//
-//qaoa:hotpath
-func (s *State) apply1QParallel(q int, m [2][2]complex128) {
-	bit := 1 << uint(q)
-	mask := bit - 1
-	pairs := len(s.Amp) >> 1
-	parallelFor(pairs, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := (k&^mask)<<1 | (k & mask)
-			j := i | bit
-			a0, a1 := s.Amp[i], s.Amp[j]
-			s.Amp[i] = m[0][0]*a0 + m[0][1]*a1
-			s.Amp[j] = m[1][0]*a0 + m[1][1]*a1
-		}
-	})
 }

@@ -1,37 +1,40 @@
 package sim
 
 import (
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-// Parallel and serial gate application must agree bit for bit (the chunked
-// loops touch disjoint amplitude pairs).
+// ApplyZZ fanned out and serial must agree bit for bit: each chunk
+// multiplies its own amplitudes by the same two phases.
 func TestParallelMatchesSerial(t *testing.T) {
-	saved := ParallelThreshold
-	defer func() { ParallelThreshold = saved }()
+	saved := parallelThreshold
+	defer func() { parallelThreshold = saved }()
 
-	rng := rand.New(rand.NewSource(1))
 	const n = 10
-	c := randomCircuit(n, 60, rng)
-
-	ParallelThreshold = 1 << 30 // force serial
-	serial := NewState(n).Run(c)
-	ParallelThreshold = 1 // force parallel on every gate
-	parallel := NewState(n).Run(c)
+	base := RandomState(n, rand.New(rand.NewSource(1)))
+	run := func(threshold int) *State {
+		parallelThreshold = threshold
+		s := base.Clone()
+		for i := 0; i < 2*n; i++ {
+			s.ApplyZZ(i%n, (i+3)%n, 0.2+0.1*float64(i))
+		}
+		return s
+	}
+	serial := run(1 << 30)
+	parallel := run(1)
 
 	for i := range serial.Amp {
-		if cmplx.Abs(serial.Amp[i]-parallel.Amp[i]) > 1e-12 {
+		if serial.Amp[i] != parallel.Amp[i] {
 			t.Fatalf("amplitude %d differs: %v vs %v", i, serial.Amp[i], parallel.Amp[i])
 		}
 	}
 }
 
 func TestParallelForCoversRange(t *testing.T) {
-	saved := ParallelThreshold
-	defer func() { ParallelThreshold = saved }()
-	ParallelThreshold = 4
+	saved := parallelThreshold
+	defer func() { parallelThreshold = saved }()
+	parallelThreshold = 4
 
 	hits := make([]int32, 1000)
 	parallelFor(len(hits), func(lo, hi int) {
@@ -45,7 +48,7 @@ func TestParallelForCoversRange(t *testing.T) {
 		}
 	}
 	// Serial path (n below threshold after restore).
-	ParallelThreshold = 1 << 30
+	parallelThreshold = 1 << 30
 	count := 0
 	parallelFor(10, func(lo, hi int) { count += hi - lo })
 	if count != 10 {
@@ -53,7 +56,8 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 }
 
-// BenchmarkApply1QLarge exercises the parallel fan-out on a 20-qubit state.
+// BenchmarkApply1QLarge measures the serial 1Q kernel on a 20-qubit state,
+// where the register no longer fits in cache.
 func BenchmarkApply1QLarge(b *testing.B) {
 	s := NewState(20)
 	s.Apply1Q(0, matH)
@@ -63,7 +67,8 @@ func BenchmarkApply1QLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyZZLarge exercises the parallel diagonal path.
+// BenchmarkApplyZZLarge measures ApplyZZ's fan-out on a 20-qubit state: the
+// gate-by-gate path's full-state sweep, the one kernel parallelFor serves.
 func BenchmarkApplyZZLarge(b *testing.B) {
 	s := NewState(20)
 	for q := 0; q < 20; q++ {

@@ -66,27 +66,13 @@ func (s *State) Probability(x uint64) float64 {
 	return real(a)*real(a) + imag(a)*imag(a)
 }
 
-// Probabilities returns the full measurement distribution.
-func (s *State) Probabilities() []float64 {
-	p := make([]float64, len(s.Amp))
-	for i, a := range s.Amp {
-		p[i] = real(a)*real(a) + imag(a)*imag(a)
-	}
-	return p
-}
-
-// Apply1Q applies the 2×2 unitary m to qubit q, fanning out across cores
-// for large registers (see ParallelThreshold). The serial path dispatches
-// on the matrix structure: the compiled gate set is dominated by real
-// matrices (H, X, RY) and real-diagonal/imaginary-off-diagonal ones (RX),
-// whose scalar kernels cost half the flops of a generic complex 2×2.
+// Apply1Q applies the 2×2 unitary m to qubit q. It dispatches on the
+// matrix structure: the compiled gate set is dominated by real matrices
+// (H, X, RY) and real-diagonal/imaginary-off-diagonal ones (RX), whose
+// scalar kernels cost half the flops of a generic complex 2×2.
 //
 //qaoa:hotpath
 func (s *State) Apply1Q(q int, m [2][2]complex128) {
-	if len(s.Amp) > ParallelThreshold {
-		s.apply1QParallel(q, m)
-		return
-	}
 	bit := 1 << uint(q)
 	if imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0 {
 		s.apply1QReal(bit, real(m[0][0]), real(m[0][1]), real(m[1][0]), real(m[1][1]))
@@ -147,8 +133,8 @@ func (s *State) apply1QCross(bit int, a, b, c, d float64) {
 // expand2 inserts zero bits at the two (distinct) bit positions given by
 // the masks loBit < hiBit, mapping a compact index k ∈ [0, 2^{n-2}) to the
 // unique basis index with both bits clear and the remaining bits of k in
-// order. Combined with parallelFor this iterates exactly the touched
-// subset of a two-qubit kernel instead of scanning all 2^n amplitudes.
+// order, so a two-qubit kernel iterates exactly its touched subset instead
+// of scanning all 2^n amplitudes.
 //
 //qaoa:hotpath
 func expand2(k, loBit, hiBit int) int {
@@ -173,21 +159,10 @@ func sortBits(a, b int) (int, int) {
 //
 //qaoa:hotpath
 func (s *State) ApplyCNOT(c, t int) {
-	n := len(s.Amp) >> 2
-	if n <= ParallelThreshold {
-		s.cnot(0, n, c, t)
-		return
-	}
-	parallelFor(n, func(klo, khi int) { s.cnot(klo, khi, c, t) })
-}
-
-// cnot is ApplyCNOT over the swapped pairs [klo, khi).
-//
-//qaoa:hotpath
-func (s *State) cnot(klo, khi, c, t int) {
 	cb, tb := 1<<uint(c), 1<<uint(t)
 	lo, hi := sortBits(cb, tb)
-	for k := klo; k < khi; k++ {
+	n := len(s.Amp) >> 2
+	for k := 0; k < n; k++ {
 		i := expand2(k, lo, hi) | cb
 		j := i | tb
 		s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
@@ -201,18 +176,17 @@ func (s *State) cnot(klo, khi, c, t int) {
 func (s *State) ApplyCZ(a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	lo, hi := sortBits(ab, bb)
-	parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			i := expand2(k, lo, hi) | ab | bb
-			s.Amp[i] = -s.Amp[i]
-		}
-	})
+	n := len(s.Amp) >> 2
+	for k := 0; k < n; k++ {
+		i := expand2(k, lo, hi) | ab | bb
+		s.Amp[i] = -s.Amp[i]
+	}
 }
 
 // ApplyZZ applies exp(-i θ/2 Z⊗Z) between a and b: amplitudes where the two
-// bits agree pick up e^{-iθ/2}, disagreeing ones e^{+iθ/2}.
-//
-//qaoa:hotpath
+// bits agree pick up e^{-iθ/2}, disagreeing ones e^{+iθ/2}. It is the
+// gate-by-gate path's full-state sweep (fused programs fold CPhase into
+// diagonal runs instead), and the one kernel that fans out: see parallelFor.
 func (s *State) ApplyZZ(a, b int, theta float64) {
 	same := cmplx.Exp(complex(0, -theta/2))
 	diff := cmplx.Exp(complex(0, +theta/2))
@@ -235,13 +209,12 @@ func (s *State) ApplyZZ(a, b int, theta float64) {
 func (s *State) ApplySwap(a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	lo, hi := sortBits(ab, bb)
-	parallelFor(len(s.Amp)>>2, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			i := expand2(k, lo, hi) | ab
-			j := (i &^ ab) | bb
-			s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
-		}
-	})
+	n := len(s.Amp) >> 2
+	for k := 0; k < n; k++ {
+		i := expand2(k, lo, hi) | ab
+		j := (i &^ ab) | bb
+		s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
+	}
 }
 
 // ApplyGate dispatches a single IR gate. Measure and Barrier gates are

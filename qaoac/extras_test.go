@@ -3,7 +3,6 @@ package qaoac
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -119,17 +118,5 @@ func TestFacadeExtConfigs(t *testing.T) {
 	dv.Instances = 2
 	if _, err := ExtDevices(context.Background(), dv); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFacadePauliExpectation(t *testing.T) {
-	c := circuit.New(2).Append(circuit.NewH(0), circuit.NewCNOT(0, 1))
-	s := Simulate(c)
-	v, err := s.ExpectationPauli("ZZ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-1) > 1e-9 {
-		t.Errorf("Bell ⟨ZZ⟩ = %v", v)
 	}
 }
