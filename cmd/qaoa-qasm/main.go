@@ -109,17 +109,7 @@ func run(deviceName string, nodes, degree int, method string, native, check bool
 
 	if metricsOut != "" {
 		rep := qaoac.NewBenchReport("qaoa-qasm", qaoac.RevisionFromEnv(rev), col)
-		rep.AddBenchmark(qaoac.BenchRecord{
-			Name:       "qaoa-qasm/" + preset.String(),
-			Instances:  1,
-			CompileSec: res.CompileTime.Seconds(),
-			MapSec:     res.MapTime.Seconds(),
-			OrderSec:   res.OrderTime.Seconds(),
-			RouteSec:   res.RouteTime.Seconds(),
-			Swaps:      float64(res.SwapCount),
-			Depth:      float64(res.Depth),
-			Gates:      float64(res.GateCount),
-		})
+		rep.AddBenchmark(qaoac.BenchRecordOf("qaoa-qasm/"+preset.String(), res))
 		if err := rep.WriteFile(metricsOut); err != nil {
 			return err
 		}

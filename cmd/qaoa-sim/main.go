@@ -143,19 +143,9 @@ func run(nodes, degree int, method string, shots, traj int, seed int64, mitigate
 	}
 	if metricsOut != "" {
 		rep := qaoac.NewBenchReport("qaoa-sim", qaoac.RevisionFromEnv(rev), col)
-		rep.AddBenchmark(qaoac.BenchRecord{
-			Name:        "qaoa-sim/" + preset.String(),
-			Instances:   1,
-			CompileSec:  res.CompileTime.Seconds(),
-			MapSec:      res.MapTime.Seconds(),
-			OrderSec:    res.OrderTime.Seconds(),
-			RouteSec:    res.RouteTime.Seconds(),
-			Swaps:       float64(res.SwapCount),
-			Depth:       float64(res.Depth),
-			Gates:       float64(res.GateCount),
-			ARGPct:      argPct,
-			SuccessProb: dev.SuccessProbability(res.Native),
-		})
+		rec := qaoac.BenchRecordOf("qaoa-sim/"+preset.String(), res)
+		rec.ARGPct, rec.SuccessProb = argPct, dev.SuccessProbability(res.Native)
+		rep.AddBenchmark(rec)
 		if err := rep.WriteFile(metricsOut); err != nil {
 			return err
 		}

@@ -239,7 +239,7 @@ func run(deviceName, deviceFile, graphKind, graphFile string, nodes, degree int,
 	fmt.Printf("swaps added:   %d\n", res.SwapCount)
 	fmt.Printf("native depth:  %d\n", res.Depth)
 	fmt.Printf("native gates:  %d\n", res.GateCount)
-	fmt.Printf("compile time:  %s\n", res.CompileTime)
+	fmt.Printf("compile time:  %s\n", res.Times.Total())
 	if dev.Calib != nil {
 		fmt.Printf("success prob:  %.6f\n", dev.SuccessProbability(res.Native))
 	}
@@ -258,17 +258,7 @@ func run(deviceName, deviceFile, graphKind, graphFile string, nodes, degree int,
 	}
 	if metricsOut != "" {
 		rep := qaoac.NewBenchReport("qaoac", qaoac.RevisionFromEnv(rev), col)
-		rec := qaoac.BenchRecord{
-			Name:       "qaoac/" + preset.String(),
-			Instances:  1,
-			CompileSec: res.CompileTime.Seconds(),
-			MapSec:     res.MapTime.Seconds(),
-			OrderSec:   res.OrderTime.Seconds(),
-			RouteSec:   res.RouteTime.Seconds(),
-			Swaps:      float64(res.SwapCount),
-			Depth:      float64(res.Depth),
-			Gates:      float64(res.GateCount),
-		}
+		rec := qaoac.BenchRecordOf("qaoac/"+preset.String(), res)
 		if dev.Calib != nil {
 			rec.SuccessProb = dev.SuccessProbability(res.Native)
 		}

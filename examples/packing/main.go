@@ -27,7 +27,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%12d  %8d  %8d  %8d  %12s\n",
-			limit, res.Depth, res.GateCount, res.SwapCount, res.CompileTime.Round(10_000))
+			limit, res.Depth, res.GateCount, res.SwapCount, res.Times.Total().Round(10_000))
 	}
 	fmt.Println("\nLow limits serialize the circuit (deep, but each layer routes")
 	fmt.Println("cheaply); generous limits parallelize it at some SWAP cost.")

@@ -30,7 +30,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-8s  %8d  %8d  %8d  %12s\n",
-			preset, res.Depth, res.GateCount, res.SwapCount, res.CompileTime.Round(10_000))
+			preset, res.Depth, res.GateCount, res.SwapCount, res.Times.Total().Round(10_000))
 	}
 
 	fmt.Println("\nIC typically wins on both depth and gate count: commuting CPhase")

@@ -53,21 +53,62 @@ type Result struct {
 	SwapCount int
 	// Depth and GateCount are measured on Native.
 	Depth, GateCount int
-	// CompileTime is the total wall-clock compilation duration;
-	// MapTime, OrderTime and RouteTime break it down into the initial
-	// mapping pass, the gate-ordering/layer-formation pass, and the
-	// backend SWAP-insertion routing. The backend share is what a
-	// conventional compiler's runtime corresponds to (see EXPERIMENTS.md
-	// on compile-time normalization).
-	CompileTime time.Duration
-	MapTime     time.Duration
-	OrderTime   time.Duration
-	RouteTime   time.Duration
+	// Times is the wall-clock compilation duration split by stage.
+	Times Times
 	// Fallback records how the graceful-degradation ladder arrived at this
 	// result (requested vs effective preset, retries, reasons). It is nil
 	// for direct Compile/CompileSpec calls, and always set by
 	// CompileResilient — even on the happy path, where Degraded is false.
 	Fallback *FallbackInfo
+}
+
+// Times is the wall-clock cost of one compilation, split into stages that
+// partition it: Map (validation and initial mapping), Order (term ordering
+// and layer formation), Route (backend SWAP insertion, the share a
+// conventional compiler's runtime corresponds to; see EXPERIMENTS.md on
+// compile-time normalization), Stitch (appending IC/VIC partial circuits
+// and mixer layers; zero for the whole-circuit strategies) and Lower
+// (decomposition, peephole optimization, depth and gate count). Checkpoint
+// hooks and trace events between two passes fall to the stage before them.
+type Times struct {
+	Map, Order, Route, Stitch, Lower time.Duration
+}
+
+// Total is the compile's wall time, the sum of its stages.
+func (t Times) Total() time.Duration { return t.Map + t.Order + t.Route + t.Stitch + t.Lower }
+
+// record folds one compilation into obs: compile/total and the map,
+// order, route and lower stages once per call (zero for a stage a failed
+// compile never reached), compile/stitch once per compile that stitched.
+// The stage spans therefore sum to compile/total.
+func (t Times) record(obs *obsv.Collector) {
+	obs.RecordSpan(obsv.SpanCompileTotal, t.Total())
+	obs.RecordSpan(obsv.SpanCompileMap, t.Map)
+	obs.RecordSpan(obsv.SpanCompileOrder, t.Order)
+	obs.RecordSpan(obsv.SpanCompileRoute, t.Route)
+	if t.Stitch > 0 {
+		obs.RecordSpan(obsv.SpanCompileStitch, t.Stitch)
+	}
+	obs.RecordSpan(obsv.SpanCompileLower, t.Lower)
+}
+
+// lapClock times a compilation's stages: each reading of the clock closes
+// the running stage and opens the next, so the stages partition the
+// compile by construction. It points into itself, so it is used in place.
+type lapClock struct {
+	Times
+	running *time.Duration
+	mark    time.Time
+}
+
+// enter charges the time since the last reading to the running stage (none
+// on the first call) and makes stage the running one.
+func (c *lapClock) enter(stage *time.Duration) {
+	now := time.Now() //lint:allow determinism: compile stage timing; Times and spans are stripped by the gates
+	if c.running != nil {
+		*c.running += now.Sub(c.mark)
+	}
+	c.running, c.mark = stage, now
 }
 
 // ExtractLogical converts a measured physical bitstring y (bit p = physical
@@ -114,15 +155,20 @@ func CompileSpec(spec Spec, dev *device.Device, opts Options) (*Result, error) {
 // Options.Hook) is converted into a *PanicError instead of escaping to the
 // caller, so one bad compilation cannot take down a batch or a service.
 func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts Options) (res *Result, err error) {
+	var clk lapClock
+	clk.enter(&clk.Map)
 	stage := StageMap
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Stage: stage, Value: r}
 		}
+		clk.enter(clk.running) // charge the rest to the stage that ended the compile
+		if res != nil {
+			res.Times = clk.Times
+		}
+		clk.record(opts.Obs)
 	}()
 	o := opts.withDefaults()
-	total := o.Obs.StartSpan(obsv.SpanCompileTotal)
-	defer total.End()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +185,6 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 	if o.Trace.Enabled() {
 		o.Trace.Meta(traceMeta(ctx, spec, dev, o))
 	}
-	start := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
 
 	o.Trace.BeginPass(StageMap)
 	var initial *router.Layout
@@ -152,16 +197,14 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 	if err != nil {
 		return nil, err
 	}
-	mapTime := time.Since(start) //lint:allow determinism: measured pass span, stripped by the gates
-	o.Obs.RecordSpan(obsv.SpanCompileMap, mapTime)
 
 	switch o.Strategy {
 	case WholeRandom, WholeIP, WholeColor:
 		stage = StageOrder
-		res, err = compileWhole(ctx, spec, dev, initial, o, &stage)
+		res, err = compileWhole(ctx, spec, dev, initial, o, &stage, &clk)
 	case Incremental, IncrementalVariation:
 		stage = StageRoute
-		res, err = compileIncremental(ctx, spec, dev, initial, o)
+		res, err = compileIncremental(ctx, spec, dev, initial, o, &clk)
 	default:
 		return nil, fmt.Errorf("compile: unknown strategy %v", o.Strategy)
 	}
@@ -169,6 +212,7 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		return nil, err
 	}
 
+	clk.enter(&clk.Lower)
 	if o.Optimize {
 		res.Circuit = circuit.Peephole(res.Circuit)
 	}
@@ -178,11 +222,7 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 	}
 	res.Depth = res.Native.Depth()
 	res.GateCount = res.Native.GateCount()
-	res.CompileTime = time.Since(start) //lint:allow determinism: measured pass span, stripped by the gates
-	res.MapTime = mapTime
 	if o.Obs.Enabled() {
-		o.Obs.RecordSpan(obsv.SpanCompileOrder, res.OrderTime)
-		o.Obs.RecordSpan(obsv.SpanCompileRoute, res.RouteTime)
 		o.Obs.Inc(obsv.CntCompilations)
 		o.Obs.Add(obsv.CntCompileSwaps, int64(res.SwapCount))
 		o.Obs.Add(obsv.CntCompileGates, int64(res.GateCount))
@@ -247,12 +287,12 @@ func emitLocals(out *circuit.Circuit, level LevelSpec, phys func(int) int) {
 // compileWhole builds the complete logical circuit (with the strategy's
 // ZZ-term order) and routes it in a single backend call — the NAIVE/QAIM/IP
 // flow of Fig. 2. stage tracks the running pass for panic attribution.
-func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options, stage *string) (*Result, error) {
+func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options, stage *string, clk *lapClock) (*Result, error) {
 	if err := checkpoint(ctx, StageOrder, o.Hook); err != nil {
 		return nil, err
 	}
 	o.Trace.BeginPass(StageOrder)
-	orderStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
+	clk.enter(&clk.Order)
 	logical := circuit.New(spec.N)
 	for q := 0; q < spec.N; q++ {
 		logical.Append(circuit.NewH(q))
@@ -268,6 +308,7 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 			var err error
 			ordered, err = ColorTermOrder(spec.N, level.ZZ)
 			if err != nil {
+				o.Trace.EndPass(StageOrder)
 				return nil, err
 			}
 		}
@@ -282,7 +323,6 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 	if o.Measure {
 		logical.MeasureAll()
 	}
-	orderTime := time.Since(orderStart) //lint:allow determinism: measured pass span, stripped by the gates
 	o.Trace.EndPass(StageOrder)
 
 	*stage = StageRoute
@@ -295,7 +335,7 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 	r.Obs = o.Obs
 	r.Trace = o.Trace
 	o.Trace.BeginPass(StageRoute)
-	routeStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
+	clk.enter(&clk.Route)
 	routed, err := r.RouteContext(ctx, logical, initial)
 	o.Trace.EndPass(StageRoute)
 	if err != nil {
@@ -306,8 +346,6 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 		Initial:   routed.Initial,
 		Final:     routed.Final,
 		SwapCount: routed.SwapCount,
-		OrderTime: orderTime,
-		RouteTime: time.Since(routeStart), //lint:allow determinism: measured pass span, stripped by the gates
 	}, nil
 }
 
@@ -316,7 +354,7 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 // current layout, each layer is routed as a partial circuit, and the
 // partial circuits are stitched. VIC differs only in the distance matrix
 // (reliability-weighted) handed to layer formation and routing.
-func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options) (*Result, error) {
+func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options, clk *lapClock) (*Result, error) {
 	dist := dev.HopDistances()
 	if o.Strategy == IncrementalVariation {
 		dist = dev.ReliabilityDistances()
@@ -331,7 +369,6 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 	layout := initial.Clone()
 	swaps := 0
 	layerIdx := 0
-	var orderTime, routeTime time.Duration
 
 	// Initial H layer, mapped through the initial layout.
 	for q := 0; q < n; q++ {
@@ -352,7 +389,7 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 				return nil, err
 			}
 			o.Trace.BeginPass(StageOrder)
-			orderStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
+			clk.enter(&clk.Order)
 			layer, rest := nextIncrementalLayer(remaining, layout, dist, o, occupied, layerBuf)
 			layerBuf = layer // keep the high-water scratch for the next pack
 			// Route the single-layer partial circuit from the live layout.
@@ -360,23 +397,19 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 			for _, t := range layer {
 				partial.Append(circuit.NewCPhase(t.U, t.V, t.Theta))
 			}
-			orderTime += time.Since(orderStart) //lint:allow determinism: measured pass span, stripped by the gates
 			o.Trace.EndPass(StageOrder)
 			if o.Trace.Enabled() {
 				o.Trace.Layer(traceLayer(layerIdx, li, layer, rest, layout, dist))
 			}
 			o.Trace.BeginPass(StageRoute)
-			routeStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
+			clk.enter(&clk.Route)
 			routed, err := r.RouteContext(ctx, partial, layout)
+			o.Trace.EndPass(StageRoute)
 			if err != nil {
-				o.Trace.EndPass(StageRoute)
 				return nil, err
 			}
-			routeTime += time.Since(routeStart) //lint:allow determinism: measured pass span, stripped by the gates
-			o.Trace.EndPass(StageRoute)
-			stitch := o.Obs.StartSpan(obsv.SpanCompileStitch)
+			clk.enter(&clk.Stitch)
 			out.AppendCircuit(routed.Circuit)
-			stitch.End()
 			o.Obs.Inc(obsv.CntCompileLayers)
 			if o.Trace.Enabled() {
 				o.Trace.Stitch(trace.StitchInfo{
@@ -405,8 +438,6 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 		Initial:   initial,
 		Final:     layout,
 		SwapCount: swaps,
-		OrderTime: orderTime,
-		RouteTime: routeTime,
 	}, nil
 }
 

@@ -135,8 +135,8 @@ func TestCompileMetricsConsistent(t *testing.T) {
 	if res.GateCount != res.Native.GateCount() {
 		t.Errorf("GateCount %d != Native count %d", res.GateCount, res.Native.GateCount())
 	}
-	if res.CompileTime <= 0 {
-		t.Error("CompileTime not recorded")
+	if res.Times.Total() <= 0 {
+		t.Error("compile Times not recorded")
 	}
 	// Native circuit contains only basis gates.
 	for _, gate := range res.Native.Gates {

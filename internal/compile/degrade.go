@@ -172,7 +172,7 @@ func CompileSkeletonResilient(ctx context.Context, ps ParamSpec, dev *device.Dev
 	if err != nil {
 		return nil, err
 	}
-	sk.fallback = fb
+	sk.res.Fallback = fb
 	return sk, nil
 }
 

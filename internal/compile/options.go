@@ -145,10 +145,12 @@ type Options struct {
 	Optimize bool
 	// Hook, when non-nil, is invoked at every pass boundary (see Hook).
 	Hook Hook
-	// Obs, when non-nil, receives per-pass spans (compile/map, compile/order,
-	// compile/route, compile/stitch, compile/total) and counters (swaps,
-	// gates, layers stitched) for this compilation, and is forwarded to the
-	// routing backend. A nil collector costs nothing (see internal/obsv).
+	// Obs, when non-nil, receives this compilation's Times as spans
+	// (compile/total, compile/map, compile/order, compile/route and
+	// compile/lower once per call, compile/stitch once per incremental
+	// compile that stitched; the stages sum to compile/total) and counters
+	// (swaps, gates, layers stitched), and is forwarded to the routing
+	// backend. A nil collector costs nothing (see internal/obsv).
 	Obs *obsv.Collector
 	// Trace, when non-nil, receives the per-decision event stream of this
 	// compilation — initial-placement choices, incremental layer formation,

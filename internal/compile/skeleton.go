@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/obsv"
 	"repro/internal/qaoa"
-	"repro/internal/router"
 )
 
 // This file is the parameterized-compilation layer: a QAOA circuit's
@@ -161,21 +159,16 @@ type Skeleton struct {
 	n, p  int
 	terms []WeightedTerm
 
-	// circ and native are the sentinel-angle templates; Bind copies their
-	// gate slices and overwrites the slots, never mutating the templates.
-	circ, native         *circuit.Circuit
+	// res is the sentinel-angle compile every bound Result copies whole.
+	// Bind copies its Circuit and Native gate slices and overwrites the
+	// slots, never mutating the templates; the layouts are shared by
+	// reference (immutable after compilation). CompileSkeletonResilient
+	// sets its Fallback.
+	res                  Result
 	circCost, nativeCost []costSlot
 	circMix, nativeMix   []mixSlot
 
-	// initial and final are shared by reference with every bound Result;
-	// layouts are treated as immutable after compilation.
-	initial, final *router.Layout
-
-	swapCount, depth, gateCount                int
-	compileTime, mapTime, orderTime, routeTime time.Duration
-
-	fallback *FallbackInfo
-	obs      *obsv.Collector
+	obs *obsv.Collector
 }
 
 // N returns the number of logical qubits.
@@ -186,18 +179,18 @@ func (s *Skeleton) P() int { return s.p }
 
 // SwapCount, Depth and GateCount report the routed metrics, which are
 // angle-independent and therefore shared by every bound Result.
-func (s *Skeleton) SwapCount() int { return s.swapCount }
+func (s *Skeleton) SwapCount() int { return s.res.SwapCount }
 
 // Depth is documented with SwapCount.
-func (s *Skeleton) Depth() int { return s.depth }
+func (s *Skeleton) Depth() int { return s.res.Depth }
 
 // GateCount is documented with SwapCount.
-func (s *Skeleton) GateCount() int { return s.gateCount }
+func (s *Skeleton) GateCount() int { return s.res.GateCount }
 
 // Fallback reports how the degradation ladder arrived at this skeleton
 // (nil for direct CompileSkeleton calls, always set by
 // CompileSkeletonResilient).
-func (s *Skeleton) Fallback() *FallbackInfo { return s.fallback }
+func (s *Skeleton) Fallback() *FallbackInfo { return s.res.Fallback }
 
 // CompileSkeleton runs the full pipeline once for the parameterized spec
 // and returns the reusable skeleton. opts are the usual compile options;
@@ -239,14 +232,9 @@ func newSkeleton(ps ParamSpec, res *Result, obs *obsv.Collector) (*Skeleton, err
 	}
 	sk := &Skeleton{
 		n: ps.N, p: ps.P,
-		terms:   append([]WeightedTerm(nil), ps.Terms...),
-		circ:    res.Circuit,
-		native:  res.Native,
-		initial: res.Initial, final: res.Final,
-		swapCount: res.SwapCount, depth: res.Depth, gateCount: res.GateCount,
-		compileTime: res.CompileTime, mapTime: res.MapTime,
-		orderTime: res.OrderTime, routeTime: res.RouteTime,
-		obs: obs,
+		terms: append([]WeightedTerm(nil), ps.Terms...),
+		res:   *res,
+		obs:   obs,
 	}
 	var err error
 	if sk.circCost, sk.circMix, err = scanSlots(res.Circuit, costIdx, mixIdx); err != nil {
@@ -330,23 +318,17 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 	if params.P() != s.p {
 		return nil, fmt.Errorf("compile: binding %d-level params on a %d-level skeleton", params.P(), s.p) //lint:allow hotpath: guarded cold error path
 	}
-	buf.circ.NQubits = s.circ.NQubits
+	buf.circ.NQubits = s.res.Circuit.NQubits
 	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
-	buf.circ.Gates = append(buf.circ.Gates[:0], s.circ.Gates...)
-	buf.native.NQubits = s.native.NQubits
+	buf.circ.Gates = append(buf.circ.Gates[:0], s.res.Circuit.Gates...)
+	buf.native.NQubits = s.res.Native.NQubits
 	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
-	buf.native.Gates = append(buf.native.Gates[:0], s.native.Gates...)
+	buf.native.Gates = append(buf.native.Gates[:0], s.res.Native.Gates...)
 	writeSlots(buf.circ.Gates, s.circCost, s.circMix, s.terms, params)
 	writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
 	s.obs.Inc(obsv.CntCompileBinds)
-	buf.res = Result{
-		Circuit: &buf.circ, Native: &buf.native,
-		Initial: s.initial, Final: s.final,
-		SwapCount: s.swapCount, Depth: s.depth, GateCount: s.gateCount,
-		CompileTime: s.compileTime, MapTime: s.mapTime,
-		OrderTime: s.orderTime, RouteTime: s.routeTime,
-		Fallback: s.fallback,
-	}
+	buf.res = s.res
+	buf.res.Circuit, buf.res.Native = &buf.circ, &buf.native
 	return &buf.res, nil
 }
 

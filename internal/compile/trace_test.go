@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -222,5 +223,77 @@ func TestTraceFallbackLadder(t *testing.T) {
 	}
 	if finalPreset != res.Fallback.Effective.String() {
 		t.Errorf("final fallback event names %q, result says %q", finalPreset, res.Fallback.Effective)
+	}
+}
+
+// routeCancelCtx reads as live until the trace holds a route pass_begin,
+// and as cancelled from then on: the route pass, and no checkpoint before
+// it, is what sees the cancellation.
+type routeCancelCtx struct {
+	context.Context
+	tr *trace.Tracer
+}
+
+func (c routeCancelCtx) Err() error {
+	for _, e := range c.tr.Events() {
+		if e.Kind == trace.KindPassBegin && e.Pass == StageRoute {
+			return context.Canceled
+		}
+	}
+	return nil
+}
+
+// A compile that fails inside a pass still closes that pass's bracket:
+// every pass_begin of the trace has its pass_end.
+func TestTracePassBracketsClosedOnError(t *testing.T) {
+	dup := Spec{N: 3, Levels: []LevelSpec{{
+		ZZ:        []ZZTerm{{U: 0, V: 1, Theta: 0.3}, {U: 1, V: 2, Theta: 0.3}, {U: 0, V: 1, Theta: 0.3}},
+		MixerBeta: 0.2,
+	}}}
+	ring := mustProblem(t, graphs.Cycle(6))
+	ringSpec, err := SpecFromMaxCut(ring, p1Params(0.5, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		spec   Spec
+		opts   Options
+		cancel bool
+		failed string // the pass whose bracket the error interrupts
+	}{
+		{"duplicate term, edge coloring", dup, Options{Mapper: MapQAIM, Strategy: WholeColor}, false, StageOrder},
+		{"cancelled route, whole circuit", ringSpec, PresetQAIM.Options(nil), true, StageRoute},
+		{"cancelled route, incremental", ringSpec, PresetIC.Options(nil), true, StageRoute},
+	}
+	for _, tc := range cases {
+		tr := trace.New()
+		tc.opts.Trace = tr
+		ctx := context.Background()
+		if tc.cancel {
+			ctx = routeCancelCtx{Context: ctx, tr: tr}
+		}
+		if _, err := CompileSpecContext(ctx, tc.spec, device.Tokyo20(), tc.opts); err == nil {
+			t.Fatalf("%s: compile succeeded", tc.name)
+		} else if tc.cancel && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v, want a cancellation", tc.name, err)
+		}
+		open := map[string]int{}
+		for _, e := range tr.Events() {
+			switch e.Kind {
+			case trace.KindPassBegin:
+				open[e.Pass]++
+			case trace.KindPassEnd:
+				open[e.Pass]--
+			}
+		}
+		if _, began := open[tc.failed]; !began {
+			t.Errorf("%s: the error came before the %s pass began", tc.name, tc.failed)
+		}
+		for pass, n := range open {
+			if n != 0 {
+				t.Errorf("%s: pass %q left %d brackets open", tc.name, pass, n)
+			}
+		}
 	}
 }

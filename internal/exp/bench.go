@@ -151,10 +151,10 @@ func runBenchRecord(ctx context.Context, bc benchCase, preset compile.Preset, gs
 		if err != nil {
 			return rec, fmt.Errorf("exp: bench %s/%v instance %d: %w", bc.id, preset, i, err)
 		}
-		rec.CompileSec += res.CompileTime.Seconds()
-		rec.MapSec += res.MapTime.Seconds()
-		rec.OrderSec += res.OrderTime.Seconds()
-		rec.RouteSec += res.RouteTime.Seconds()
+		rec.CompileSec += res.Times.Total().Seconds()
+		rec.MapSec += res.Times.Map.Seconds()
+		rec.OrderSec += res.Times.Order.Seconds()
+		rec.RouteSec += res.Times.Route.Seconds()
 		rec.Swaps += float64(res.SwapCount)
 		rec.Depth += float64(res.Depth)
 		rec.Gates += float64(res.GateCount)

@@ -47,7 +47,7 @@ func Discussion(ctx context.Context, cfg DiscussionConfig) (*Table, error) {
 				return nil, err
 			}
 			s := metrics.Sample{Depth: res.Depth, GateCount: res.GateCount,
-				SwapCount: res.SwapCount, CompileTime: res.CompileTime, SuccessProb: 1}
+				SwapCount: res.SwapCount, CompileTime: res.Times.Total(), SuccessProb: 1}
 			if preset == compile.PresetNaive {
 				naiveS = append(naiveS, s)
 			} else {

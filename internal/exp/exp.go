@@ -74,8 +74,8 @@ func compileSample(ctx context.Context, g *graphs.Graph, dev *device.Device, pre
 		Depth:       res.Depth,
 		GateCount:   res.GateCount,
 		SwapCount:   res.SwapCount,
-		CompileTime: res.CompileTime,
-		RouteTime:   res.RouteTime,
+		CompileTime: res.Times.Total(),
+		RouteTime:   res.Times.Route,
 	}
 	if dev.Calib != nil {
 		s.SuccessProb = dev.SuccessProbability(res.Native)

@@ -125,7 +125,7 @@ func ExtMappers(ctx context.Context, cfg ExtMappersConfig) (*Table, error) {
 			samples = append(samples, metrics.Sample{
 				Depth: res.Depth, GateCount: res.GateCount, SwapCount: res.SwapCount,
 			})
-			mapMillis += float64(res.MapTime.Microseconds()) / 1000
+			mapMillis += float64(res.Times.Map.Microseconds()) / 1000
 		}
 		agg := metrics.Collect(samples)
 		t.Add(mapper.String(), agg.Depth.Mean, agg.GateCount.Mean, agg.SwapCount.Mean,

@@ -17,6 +17,7 @@ const (
 	SpanCompileOrder    = "compile/order"
 	SpanCompileRoute    = "compile/route"
 	SpanCompileStitch   = "compile/stitch"
+	SpanCompileLower    = "compile/lower"
 	SpanExpInstance     = "exp/instance"
 	SpanLoopExpectation = "loop/expectation"
 	SpanSimIdealRun     = "sim/ideal_run"
@@ -238,6 +239,7 @@ var registry = map[string]NameKind{
 	SpanCompileOrder:    KindSpan,
 	SpanCompileRoute:    KindSpan,
 	SpanCompileStitch:   KindSpan,
+	SpanCompileLower:    KindSpan,
 	SpanExpInstance:     KindSpan,
 	SpanLoopExpectation: KindSpan,
 	SpanSimIdealRun:     KindSpan,

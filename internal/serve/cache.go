@@ -42,13 +42,11 @@ type outcome struct {
 	deviceName  string
 	deviceID    string
 	// Observability facts of the compile that produced the artifact: how
-	// far the fallback ladder descended and the per-pass durations, surfaced
-	// on wide-event lines and inspector records (only the requests that
-	// waited on the compile flight report the pass times).
+	// far the fallback ladder descended and the per-stage durations,
+	// surfaced on wide-event lines and inspector records (only the requests
+	// that waited on the compile flight report the stage times).
 	fallbackDepth int
-	mapTime       time.Duration
-	orderTime     time.Duration
-	routeTime     time.Duration
+	times         compile.Times
 	// trace holds the compile's decision-level events when the server runs
 	// with Config.TraceRequests; nil otherwise.
 	trace []trace.Event

@@ -412,3 +412,41 @@ func TestRequestPhasesOnEveryHit(t *testing.T) {
 		t.Errorf("full-key hit without QASM reports bind %v ms", full.BindMS)
 	}
 }
+
+// serve/request is recorded once per request, by finishRequest: its count
+// equals serve/requests across a cold compile, a cache hit and a bad
+// request.
+func TestServeRequestSpanOncePerRequest(t *testing.T) {
+	logSink := &lockedBuffer{}
+	_, ts, col := newTestServer(t, Config{Log: obsv.NewLogger(logSink)})
+	req := ringRequest("tokyo", 6, 3, "IC")
+	for i := 0; i < 2; i++ {
+		if st, _, fail := postCompile(t, ts.URL, req); st != http.StatusOK {
+			t.Fatalf("status %d: %+v", st, fail)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d", resp.StatusCode)
+	}
+
+	waitForLines(t, logSink, 3) // the wide event follows the span
+	snap := col.Snapshot()
+	var spans int64
+	for _, sp := range snap.Spans {
+		if sp.Name == obsv.SpanServeRequest {
+			spans = sp.Count
+		}
+	}
+	if reqs := snap.Counters[obsv.CntServeRequests]; reqs != 3 || spans != reqs {
+		t.Errorf("serve/request span count %d, serve/requests %d, want 3 each", spans, reqs)
+	}
+	if snap.Counters[obsv.CntServeCacheHits] != 1 || snap.Counters[obsv.CntServeBadRequests] != 1 {
+		t.Errorf("request classes: %d cache hits, %d bad requests, want 1 each",
+			snap.Counters[obsv.CntServeCacheHits], snap.Counters[obsv.CntServeBadRequests])
+	}
+}

@@ -359,9 +359,6 @@ func (rs *reqState) lap() float64 {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.obs.Inc(obsv.CntServeRequests)
-	span := s.obs.StartSpan(obsv.SpanServeRequest)
-	defer span.End()
-
 	id := s.mintRequestID(r)
 	w.Header().Set("X-Request-ID", id)
 	start := time.Now()
@@ -506,12 +503,15 @@ func (rs *reqState) fillOutcome(out *outcome) {
 }
 
 // finishRequest closes out one request's observability: final inspector
-// record, latency histograms, per-preset availability accounting, and the
-// canonical wide-event log line. Called exactly once per request, after the
-// response was written.
+// record, the serve/request span, latency histograms, per-preset
+// availability accounting, and the canonical wide-event log line. Called
+// exactly once per request, after the response was written; the span and
+// DurationMS are one clock reading.
 func (s *Server) finishRequest(rs *reqState, status int, outcome, errMsg string) {
 	rec := &rs.rec
-	rec.DurationMS = durMS(time.Since(rs.start))
+	d := time.Since(rs.start)
+	s.obs.RecordSpan(obsv.SpanServeRequest, d)
+	rec.DurationMS = durMS(d)
 	rec.Outcome = outcome
 	rec.HTTPStatus = status
 	rec.Err = errMsg
@@ -588,9 +588,9 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 			}
 			s.cache.put(p.key, p.deviceID, out)
 		}
-		rs.rec.MapMS = durMS(out.mapTime)
-		rs.rec.OrderMS = durMS(out.orderTime)
-		rs.rec.RouteMS = durMS(out.routeTime)
+		rs.rec.MapMS = durMS(out.times.Map)
+		rs.rec.OrderMS = durMS(out.times.Order)
+		rs.rec.RouteMS = durMS(out.times.Route)
 		s.respondOK(w, rs, p, out, false)
 	case errors.Is(f.err, errShed):
 		s.obs.Inc(obsv.CntServeShed)
@@ -767,9 +767,7 @@ func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, r
 		deviceID:      p.deviceID,
 		attempts:      len(res.Fallback.Attempts),
 		fallbackDepth: fallbackDepth(res.Fallback.Attempts),
-		mapTime:       res.MapTime,
-		orderTime:     res.OrderTime,
-		routeTime:     res.RouteTime,
+		times:         res.Times,
 		trace:         trEvents,
 	}
 	if se == nil || p.emitQASM {

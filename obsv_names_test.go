@@ -146,7 +146,7 @@ func TestPipelineRecordsOnlyRegisteredNames(t *testing.T) {
 		t.Errorf("checkpoints (%d) != replays (%d)", snap.Counters[obsv.CntSimCheckpoints], replays)
 	}
 	for _, name := range []string{
-		obsv.SpanCompileTotal, obsv.SpanExpInstance, obsv.SpanLoopExpectation,
+		obsv.SpanCompileTotal, obsv.SpanCompileLower, obsv.SpanExpInstance, obsv.SpanLoopExpectation,
 		obsv.SpanSimIdealRun, obsv.SpanSimSampleNoisy,
 	} {
 		found := false

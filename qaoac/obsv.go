@@ -28,6 +28,19 @@ type BenchReport = obsv.Report
 // BenchRecord is one named benchmark measurement of a report.
 type BenchRecord = obsv.Benchmark
 
+// BenchRecordOf is the one-instance benchmark record of a compilation:
+// its stage times and structural metrics under name. CompileSec equals
+// the compile/total span the compilation recorded.
+func BenchRecordOf(name string, res *CompileResult) BenchRecord {
+	t := res.Times
+	return BenchRecord{
+		Name: name, Instances: 1,
+		CompileSec: t.Total().Seconds(), MapSec: t.Map.Seconds(),
+		OrderSec: t.Order.Seconds(), RouteSec: t.Route.Seconds(),
+		Swaps: float64(res.SwapCount), Depth: float64(res.Depth), Gates: float64(res.GateCount),
+	}
+}
+
 // BenchRegression is one benchmark metric that worsened beyond its
 // threshold.
 type BenchRegression = obsv.Regression
