@@ -105,8 +105,7 @@ func run(addr, devName string, warmN, requests, clients, overN, overCli, sweepN,
 			return err
 		}
 		hs := serve.NewHTTPServer(srv.Handler())
-		//lint:allow leakcheck: Serve returns when the deferred Close shuts the listener at the end of the run
-		go hs.Serve(ln)
+		go hs.Serve(ln) // the deferred hs.Shutdown ends Serve
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

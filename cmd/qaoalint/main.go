@@ -1,7 +1,6 @@
-// qaoalint is the repo's invariant checker: a multichecker over the nine
+// qaoalint is the repo's invariant checker: a multichecker over the seven
 // analyzers of internal/analysis (determinism, obsvnames, ctxflow,
-// errcmp, hotpath, poolsafe, leakcheck, lockorder, allowdoc). It runs in
-// two modes:
+// errcmp, poolsafe, lockorder, allowdoc). It runs in two modes:
 //
 // Standalone, from the module root (loads packages itself, test files
 // included):
@@ -49,8 +48,6 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errcmp"
-	"repro/internal/analysis/hotpath"
-	"repro/internal/analysis/leakcheck"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/obsvnames"
 	"repro/internal/analysis/poolsafe"
@@ -59,7 +56,7 @@ import (
 // version participates in the go command's content-based vet caching: it
 // must change when the analyzers change behavior, or cached clean results
 // would mask new diagnostics. Bump on any analyzer change.
-const version = "qaoalint-2.1.0"
+const version = "qaoalint-3.0.0"
 
 var all = buildAll()
 
@@ -69,9 +66,7 @@ func buildAll() []*analysis.Analyzer {
 		obsvnames.Analyzer,
 		ctxflow.Analyzer,
 		errcmp.Analyzer,
-		hotpath.Analyzer,
 		poolsafe.Analyzer,
-		leakcheck.Analyzer,
 		lockorder.Analyzer,
 	}
 	// allowdoc audits the escape comments of every analyzer, itself

@@ -30,7 +30,7 @@ func runOn(t *testing.T, src string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	analyzer := allowdoc.New("allowdoc", "poolsafe", "leakcheck")
+	analyzer := allowdoc.New("allowdoc", "poolsafe", "lockorder")
 	var got []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  analyzer,
@@ -62,7 +62,7 @@ func TestAllowDoc(t *testing.T) {
 		{
 			name: "colon form is clean",
 			src: `func f() {
-	_ = 1 //lint:allow leakcheck: server goroutine exits on listener close
+	_ = 1 //lint:allow lockorder: the callee takes no lock of a lower tier
 }`,
 		},
 		{

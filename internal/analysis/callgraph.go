@@ -6,31 +6,19 @@ import (
 )
 
 // CallGraph is the static call graph of one package: every function or
-// method declared with a body, with the call sites its body contains.
-// Cross-package callees appear as edge targets (their *types.Func comes
-// from export data) but have no node of their own — an analyzer that needs
-// their bodies must treat them as opaque. Calls through function values
-// have a nil Callee; calls through interface methods resolve to the
-// interface method object and are marked Dynamic.
+// method declared with a body, with the call expressions its body
+// contains. Cross-package callees have no node of their own — an analyzer
+// that needs their bodies must treat them as opaque.
 type CallGraph struct {
 	Nodes map[*types.Func]*CallNode
 }
 
-// CallNode is one declared function and its outgoing call sites, in
-// source order. Sites inside nested function literals are included — the
-// literal's calls happen on behalf of whoever runs the closure, and the
-// analyzers that care (hotpath) re-derive closure structure themselves.
+// CallNode is one declared function and the call expressions of its body,
+// in source order. Calls inside nested function literals are included —
+// the literal's calls happen on behalf of whoever runs the closure.
 type CallNode struct {
-	Func *types.Func
-	Decl *ast.FuncDecl
-	Out  []CallSite
-}
-
-// CallSite is one call expression inside a node's body.
-type CallSite struct {
-	Call    *ast.CallExpr
-	Callee  *types.Func // nil for calls through function values and builtins
-	Dynamic bool        // true for interface-method and function-value calls
+	Func  *types.Func
+	Calls []*ast.CallExpr
 }
 
 // CallGraph returns the package call graph, built once per pass.
@@ -49,21 +37,11 @@ func (p *Pass) CallGraph() *CallGraph {
 			if !ok {
 				continue
 			}
-			node := &CallNode{Func: fn, Decl: fd}
+			node := &CallNode{Func: fn}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					node.Calls = append(node.Calls, call)
 				}
-				callee, dyn := StaticCallee(p.TypesInfo, call)
-				if callee == nil && !dyn {
-					// Conversion or builtin: not a call edge.
-					if isConversionOrBuiltin(p.TypesInfo, call) {
-						return true
-					}
-					dyn = true // function value
-				}
-				node.Out = append(node.Out, CallSite{Call: call, Callee: callee, Dynamic: dyn})
 				return true
 			})
 			cg.Nodes[fn] = node
@@ -73,74 +51,21 @@ func (p *Pass) CallGraph() *CallGraph {
 	return cg
 }
 
-// DeclOf returns the package-local declaration of fn, or nil when fn is
-// not declared (with a body) in this package.
-func (cg *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl {
-	if n, ok := cg.Nodes[fn]; ok {
-		return n.Decl
-	}
-	return nil
-}
-
-// StaticCallee resolves the target of a call expression. dynamic is true
-// when the target is an interface method (fn set to the method object) or
-// a function value (fn nil); both mean the concrete body is unknown
-// statically. Conversions and builtins return (nil, false).
-func StaticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, dynamic bool) {
-	switch fe := unparen(call.Fun).(type) {
+// StaticCallee resolves the function or method a call expression names:
+// nil for calls through function values, conversions and builtins, and the
+// interface method object for interface method calls.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fe := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fe].(*types.Func); ok {
-			return f, false
-		}
-		if _, ok := info.Uses[fe].(*types.Var); ok {
-			return nil, true // call through a local function value
-		}
+		f, _ := info.Uses[fe].(*types.Func)
+		return f
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fe]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				recv := f.Type().(*types.Signature).Recv()
-				return f, recv != nil && types.IsInterface(recv.Type())
-			}
-			if _, ok := sel.Obj().(*types.Var); ok {
-				return nil, true // call through a struct-field function value
-			}
-		} else if f, ok := info.Uses[fe.Sel].(*types.Func); ok {
-			return f, false // package-qualified call
-		} else if _, ok := info.Uses[fe.Sel].(*types.Var); ok {
-			return nil, true // package-level function variable
+			f, _ := sel.Obj().(*types.Func)
+			return f
 		}
+		f, _ := info.Uses[fe.Sel].(*types.Func) // package-qualified call
+		return f
 	}
-	return nil, false
-}
-
-// isConversionOrBuiltin distinguishes T(x) and len/append/... from real
-// calls.
-func isConversionOrBuiltin(info *types.Info, call *ast.CallExpr) bool {
-	switch fe := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		switch info.Uses[fe].(type) {
-		case *types.Builtin, *types.TypeName:
-			return true
-		}
-	case *ast.SelectorExpr:
-		if _, ok := info.Uses[fe.Sel].(*types.TypeName); ok {
-			return true
-		}
-	case *ast.ArrayType, *ast.MapType, *ast.ChanType, *ast.StarExpr, *ast.FuncType, *ast.InterfaceType:
-		return true
-	}
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return true
-	}
-	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
+	return nil
 }

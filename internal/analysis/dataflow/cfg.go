@@ -1,10 +1,10 @@
 // Package dataflow is the intraprocedural core under qaoalint's
-// dataflow-grade analyzers (poolsafe, leakcheck, lockorder): a control-flow
-// graph built from go/ast, a generic forward may-analysis solver, reaching
-// definitions, and must-alias facts. Stdlib-only, like the rest of
-// internal/analysis — it models exactly the Go subset this repository
-// uses, trading full-language fidelity (goto is conservative) for zero
-// dependencies and a CFG small enough to audit.
+// dataflow-grade analyzers (poolsafe, lockorder): a control-flow graph
+// built from go/ast, a generic forward may-analysis solver, and must-alias
+// facts. Stdlib-only, like the rest of internal/analysis — it models
+// exactly the Go subset this repository uses, trading full-language
+// fidelity (goto is conservative) for zero dependencies and a CFG small
+// enough to audit.
 package dataflow
 
 import (
@@ -33,22 +33,14 @@ type Graph struct {
 	Exit   *Block
 	Blocks []*Block
 	Defers []*ast.CallExpr
-
-	// finite records the back edges of loops with a condition (or a range
-	// clause): executions are assumed to take each such edge finitely
-	// often, so a cycle containing one is a terminating loop rather than a
-	// potential infinite execution. for{} back edges are absent — those
-	// loops really can spin forever.
-	finite map[[2]int]bool
 }
 
 // New builds the control-flow graph of body. Panics and calls that never
 // return (os.Exit, log.Fatal*, runtime.Goexit) end their block with no
-// successor: executions through them neither reach Exit nor loop, so path
-// queries correctly ignore them. goto is handled conservatively as an edge
-// to Exit (the repository style does not use it).
+// successor: executions through them never reach Exit. goto is handled
+// conservatively as an edge to Exit (the repository style does not use it).
 func New(body *ast.BlockStmt) *Graph {
-	g := &Graph{finite: map[[2]int]bool{}}
+	g := &Graph{}
 	b := &builder{g: g}
 	g.Exit = &Block{Index: -1}
 	g.Entry = b.newBlock()
@@ -58,84 +50,6 @@ func New(body *ast.BlockStmt) *Graph {
 	g.Exit.Index = len(g.Blocks)
 	g.Blocks = append(g.Blocks, g.Exit)
 	return g
-}
-
-// PathAvoiding reports whether some execution of the function can proceed
-// indefinitely or to completion — reach Exit, or close a cycle (loop
-// forever) — without ever executing a node for which match returns true.
-// This is the "on all paths" primitive: a guarantee "every execution
-// passes a matching node" holds exactly when PathAvoiding is false.
-// Deferred calls are not consulted; callers check Graph.Defers themselves
-// (a matching deferred call covers every exit at once).
-func (g *Graph) PathAvoiding(match func(ast.Node) bool) bool {
-	blocked := make([]bool, len(g.Blocks))
-	for _, bl := range g.Blocks {
-		for _, n := range bl.Nodes {
-			if match(n) {
-				blocked[bl.Index] = true
-				break
-			}
-		}
-	}
-	const (
-		white = iota // unvisited
-		grey         // on the DFS stack: reaching it again closes a cycle
-		black        // fully explored
-	)
-	color := make([]int, len(g.Blocks))
-	var stack []*Block
-	var found bool
-	var dfs func(*Block)
-	dfs = func(bl *Block) {
-		switch color[bl.Index] {
-		case grey:
-			// The cycle is the stack segment from bl's occurrence to the
-			// top, plus the closing edge back to bl. If any edge in it is
-			// an assumed-finite back edge the cycle is a terminating loop,
-			// not an infinite execution.
-			i := len(stack) - 1
-			for i >= 0 && stack[i] != bl {
-				i--
-			}
-			finite := false
-			for j := i; j < len(stack); j++ {
-				to := bl
-				if j+1 < len(stack) {
-					to = stack[j+1]
-				}
-				if g.finite[[2]int{stack[j].Index, to.Index}] {
-					finite = true
-					break
-				}
-			}
-			if !finite {
-				found = true
-			}
-			return
-		case black:
-			return
-		}
-		if blocked[bl.Index] {
-			color[bl.Index] = black
-			return
-		}
-		if bl == g.Exit {
-			found = true
-			return
-		}
-		color[bl.Index] = grey
-		stack = append(stack, bl)
-		for _, s := range bl.Succs {
-			dfs(s)
-			if found {
-				return
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[bl.Index] = black
-	}
-	dfs(g.Entry)
-	return found
 }
 
 // Inspect walks the expression content of one block node, calling f in
@@ -280,7 +194,6 @@ func (b *builder) forStmt(s *ast.ForStmt) {
 	if s.Init != nil {
 		b.stmt(s.Init)
 	}
-	entry := b.cur
 	head := b.newBlock()
 	b.edge(b.cur, head)
 	if s.Cond != nil {
@@ -305,28 +218,14 @@ func (b *builder) forStmt(s *ast.ForStmt) {
 	b.frames = b.frames[:len(b.frames)-1]
 	if s.Cond != nil {
 		// A for{} without condition has no fallthrough exit: the only way
-		// out is break/return, so head gets no edge to after — and its
-		// back edges stay out of finite, so its cycles count as possible
-		// infinite executions.
+		// out is break/return, so head gets no edge to after.
 		b.edge(head, after)
-		b.markBackEdges(head, entry)
 	}
 	b.cur = after
 }
 
-// markBackEdges records every edge into head except the one from entry as
-// an assumed-finite loop back edge.
-func (b *builder) markBackEdges(head, entry *Block) {
-	for _, p := range head.Preds {
-		if p != entry {
-			b.g.finite[[2]int{p.Index, head.Index}] = true
-		}
-	}
-}
-
 func (b *builder) rangeStmt(s *ast.RangeStmt) {
 	label := b.takeLabel()
-	entry := b.cur
 	head := b.newBlock()
 	b.edge(b.cur, head)
 	head.Nodes = append(head.Nodes, s)
@@ -339,7 +238,6 @@ func (b *builder) rangeStmt(s *ast.RangeStmt) {
 	b.stmts(s.Body.List)
 	b.edge(b.cur, head)
 	b.frames = b.frames[:len(b.frames)-1]
-	b.markBackEdges(head, entry)
 	b.cur = after
 }
 

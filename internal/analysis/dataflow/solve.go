@@ -1,10 +1,5 @@
 package dataflow
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // Set is a fact set over analyzer-chosen fact values.
 type Set[T comparable] map[T]bool
 
@@ -79,68 +74,4 @@ func ForwardUnion[T comparable](g *Graph, transfer func(b *Block, in Set[T]) Set
 		res[bl] = ins[bl.Index]
 	}
 	return res
-}
-
-// Def is one definition event: an assignment (or declaration) that gives
-// Var a value at Node.
-type Def struct {
-	Var  *types.Var
-	Node ast.Node
-}
-
-// ReachingDefs computes, for every block, the set of definitions that may
-// reach its entry: the classic gen/kill reaching-definitions analysis,
-// with assignments and value-spec declarations as definition events.
-// Compound assignments (+=) and IncDec count as definitions too — they
-// change the value — but definitions through pointers or via range
-// key/value clauses are not modeled.
-func ReachingDefs(g *Graph, info *types.Info) map[*Block]Set[Def] {
-	return ForwardUnion(g, func(b *Block, in Set[Def]) Set[Def] {
-		for _, n := range b.Nodes {
-			for _, d := range defsOf(n, info) {
-				for k := range in {
-					if k.Var == d.Var {
-						delete(in, k)
-					}
-				}
-				in[d] = true
-			}
-		}
-		return in
-	})
-}
-
-// defsOf lists the variables a single block node defines.
-func defsOf(n ast.Node, info *types.Info) []Def {
-	var out []Def
-	record := func(e ast.Expr, at ast.Node) {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if v, ok := info.Defs[id].(*types.Var); ok {
-			out = append(out, Def{Var: v, Node: at})
-		} else if v, ok := info.Uses[id].(*types.Var); ok {
-			out = append(out, Def{Var: v, Node: at})
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range n.Lhs {
-			record(lhs, n)
-		}
-	case *ast.IncDecStmt:
-		record(n.X, n)
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						record(name, vs)
-					}
-				}
-			}
-		}
-	}
-	return out
 }

@@ -138,7 +138,7 @@ func checkAcquire(pass *analysis.Pass, call *ast.CallExpr, class string, held da
 
 // checkCallUnderLock flags slow or reentrant work under a serve lock.
 func checkCallUnderLock(pass *analysis.Pass, call *ast.CallExpr, held dataflow.Set[string]) {
-	fn, _ := analysis.StaticCallee(pass.TypesInfo, call)
+	fn := analysis.StaticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}

@@ -82,8 +82,8 @@ func classify(pass *analysis.Pass) *classifier {
 		changed = false
 		for fn, node := range cg.Nodes {
 			if !cls.acquirers[fn] && fn.Type().(*types.Signature).Results().Len() > 0 {
-				for _, site := range node.Out {
-					if cls.isAcquire(site.Call) {
+				for _, call := range node.Calls {
+					if cls.isAcquire(call) {
 						cls.acquirers[fn] = true
 						changed = true
 						break
@@ -107,7 +107,7 @@ func (c *classifier) isAcquire(call *ast.CallExpr) bool {
 	if isPoolMethod(c.pass.TypesInfo, call, "Get") {
 		return true
 	}
-	fn, _ := analysis.StaticCallee(c.pass.TypesInfo, call)
+	fn := analysis.StaticCallee(c.pass.TypesInfo, call)
 	return fn != nil && c.acquirers[fn]
 }
 
@@ -118,7 +118,7 @@ func (c *classifier) releaseArg(call *ast.CallExpr) ast.Expr {
 	if isPoolMethod(c.pass.TypesInfo, call, "Put") && len(call.Args) == 1 {
 		return call.Args[0]
 	}
-	fn, _ := analysis.StaticCallee(c.pass.TypesInfo, call)
+	fn := analysis.StaticCallee(c.pass.TypesInfo, call)
 	if fn == nil {
 		return nil
 	}
@@ -135,8 +135,8 @@ func (c *classifier) releasedParam(node *analysis.CallNode) (int, bool) {
 	for i := 0; i < sig.Params().Len(); i++ {
 		params[sig.Params().At(i)] = i
 	}
-	for _, site := range node.Out {
-		arg := c.releaseArg(site.Call)
+	for _, call := range node.Calls {
+		arg := c.releaseArg(call)
 		if arg == nil {
 			continue
 		}

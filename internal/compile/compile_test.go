@@ -1,14 +1,20 @@
 package compile
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/graphs"
+	"repro/internal/leaktest"
+	"repro/internal/obsv"
 	"repro/internal/qaoa"
 	"repro/internal/sim"
 )
@@ -412,4 +418,57 @@ func TestCompileEdgelessGraph(t *testing.T) {
 	if res.SwapCount != 0 || res.Circuit.CountKind(circuit.CPhase) != 0 {
 		t.Errorf("edgeless compile: swaps=%d cphase=%d", res.SwapCount, res.Circuit.CountKind(circuit.CPhase))
 	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n-th call on: a cancellation that lands at a fixed point of a compile.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRouterTrialsJoinWorkers: a RouterTrials > 1 compile on two cores
+// fans its trials out to workers, and none of them outlives the compile —
+// whether it succeeds or is cancelled while the trials run.
+func TestRouterTrialsJoinWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	prob := mustProblem(t, graphs.MustRandomRegular(16, 3, rand.New(rand.NewSource(7))))
+	compileWith := func(ctx context.Context) (*obsv.Collector, error) {
+		opts := PresetIP.Options(rand.New(rand.NewSource(5)))
+		opts.RouterTrials = 8
+		opts.Obs = obsv.New()
+		_, err := CompileContext(ctx, prob, p1Params(0.5, 0.2), device.Tokyo20(), opts)
+		return opts.Obs, err
+	}
+
+	baseline := runtime.NumGoroutine()
+	const budget = 1 << 40
+	counted := &cancelAfter{Context: context.Background()}
+	counted.n.Store(budget)
+	col, err := compileWith(counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Snapshot().Counters[obsv.CntRouterTrials]; got != 8 {
+		t.Fatalf("router/trials = %d, want 8", got)
+	}
+	leaktest.Check(t, baseline)
+
+	// The first trial runs alone before the fan-out and takes about an
+	// eighth of the ctx checks, so cancelling at three quarters of them
+	// lands among the parallel trials.
+	calls := budget - counted.n.Load()
+	cancelled := &cancelAfter{Context: context.Background()}
+	cancelled.n.Store(calls * 3 / 4)
+	if _, err := compileWith(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled compile: err = %v, want context.Canceled", err)
+	}
+	leaktest.Check(t, baseline)
 }

@@ -307,22 +307,17 @@ func (s *Skeleton) Bind(params qaoa.Params) (*Result, error) {
 // options and seed, at the cost of two gate-slice copies. The Result
 // shares the skeleton's layouts (immutable) and reports the skeleton's
 // one-time pass timings; it is valid until buf's next bind.
-//
-//qaoa:hotpath
 func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) {
-	//lint:allow hotpath: once-per-bind prologue outside the per-slot loops; Validate allocates only when rejecting
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	//lint:allow hotpath: Params.P is a len accessor
 	if params.P() != s.p {
-		return nil, fmt.Errorf("compile: binding %d-level params on a %d-level skeleton", params.P(), s.p) //lint:allow hotpath: guarded cold error path
+		return nil, fmt.Errorf("compile: binding %d-level params on a %d-level skeleton", params.P(), s.p)
 	}
+	// The copies grow buf once; later binds reuse its capacity.
 	buf.circ.NQubits = s.res.Circuit.NQubits
-	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
 	buf.circ.Gates = append(buf.circ.Gates[:0], s.res.Circuit.Gates...)
 	buf.native.NQubits = s.res.Native.NQubits
-	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
 	buf.native.Gates = append(buf.native.Gates[:0], s.res.Native.Gates...)
 	writeSlots(buf.circ.Gates, s.circCost, s.circMix, s.terms, params)
 	writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
@@ -336,8 +331,6 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 // the concrete angles, using exactly the arithmetic the concrete pipeline
 // uses (−γ[l]·w cost phases, 2β[l] mixer rotations) so equality is
 // bitwise, not just numeric.
-//
-//qaoa:hotpath
 func writeSlots(gates []circuit.Gate, costs []costSlot, mixes []mixSlot, terms []WeightedTerm, params qaoa.Params) {
 	for _, cs := range costs {
 		gates[cs.gate].Params[0] = -params.Gamma[cs.level] * terms[cs.term].Weight

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/compile"
 	"repro/internal/device"
 	"repro/internal/faultinject"
+	"repro/internal/leaktest"
 	"repro/internal/qaoa"
 )
 
@@ -55,6 +57,23 @@ func TestRunPointOnDegradedTokyo(t *testing.T) {
 			t.Fatalf("summary %q", s)
 		}
 	}
+}
+
+// TestRunPointJoinsInstances: the parallel instance runner leaves no
+// goroutine behind once runPoint returns, with more instances than the
+// two cores it may run at once.
+func TestRunPointJoinsInstances(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	DrainFaultReports()
+	baseline := runtime.NumGoroutine()
+	aggs, err := runPoint(ErdosRenyi, 8, 0.4, device.Tokyo20(), []compile.Preset{compile.PresetIC}, 5, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := aggs[compile.PresetIC].N; n != 5 {
+		t.Fatalf("%d of 5 instances aggregated", n)
+	}
+	leaktest.Check(t, baseline)
 }
 
 // An unusable device (problem larger than its biggest component) must fail

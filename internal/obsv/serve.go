@@ -3,7 +3,6 @@ package obsv
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -44,8 +43,8 @@ type ReadyFunc func() (bool, string)
 //	/readyz       JSON readiness (503 while warming up or draining)
 //	/debug/pprof  the standard runtime profiles
 //
-// Build one with NewHandler and mount it on any server, or use Serve for the
-// common listen-and-go case.
+// Build one with NewHandler and mount it on any server; serve.ServeObs
+// runs one on its own listener.
 type Handler struct {
 	col      *Collector
 	progress ProgressFunc
@@ -136,29 +135,6 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp)
-}
-
-// Serve starts an HTTP server for the handler on addr (":0" picks a free
-// port) and returns the listener, whose Addr reveals the bound port. The
-// server runs until the listener is closed; serving errors after that are
-// discarded. Errors binding the address are returned immediately.
-func (h *Handler) Serve(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obsv: listen %s: %w", addr, err)
-	}
-	//lint:allow leakcheck: the goroutine ends when the returned listener is closed; srv.Serve's error is discarded by design
-	go func() {
-		// Hardened against slow or abandoned clients; see internal/serve
-		// for the full rationale.
-		srv := &http.Server{
-			Handler:           h,
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		srv.Serve(ln) // returns on ln.Close; nothing useful to do with the error
-	}()
-	return ln, nil
 }
 
 // WriteMetricsText renders a snapshot in the Prometheus text exposition

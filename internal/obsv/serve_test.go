@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -104,25 +103,6 @@ func TestPprofIndexServed(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/ returned %d", resp.StatusCode)
-	}
-}
-
-func TestServeBindsAndServes(t *testing.T) {
-	c := New()
-	c.Inc(CntCompilations)
-	ln, err := NewHandler(c, nil, nil).Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", ln.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "qaoa_compile_compilations_total 1") {
-		t.Errorf("served metrics missing counter:\n%s", body)
 	}
 }
 

@@ -315,9 +315,7 @@ func (s *scorer) addEntry(a, b int, pend bool, g circuit.Gate) {
 // entry order to keep the emission order of the full sequential scan. The
 // gates land on out.Gates directly: they are remaps of already-validated
 // gates onto layout positions, so re-validation through Circuit.Append
-// would be pure overhead on the hottest emission path. (Not annotated
-// //qaoa:hotpath: the output-circuit append legitimately grows its backing
-// array.)
+// would be pure overhead on the hottest emission path.
 func (s *scorer) emitReady(out *circuit.Circuit) {
 	if s.scanAll {
 		s.scanAll = false
@@ -386,15 +384,13 @@ func (s *scorer) removeTouch(p, i int) {
 // is only ever consulted after a fresh scoreEdge, and the edge gets one
 // before it can matter — every activity transition of an endpoint runs
 // through invalidate again, at which point the filter passes.
-//
-//qaoa:hotpath
 func (s *scorer) invalidate(p int) {
 	ap := s.activeCnt[p] > 0
 	for k := s.incOff[p]; k < s.incOff[p+1]; k++ {
 		ei := s.incList[k]
 		if !s.queued[ei] && (ap || s.candPos[ei] >= 0 || s.activeCnt[s.incOther[k]] > 0) {
 			s.queued[ei] = true
-			s.dirtyEdges = append(s.dirtyEdges, ei) //lint:allow hotpath: amortized high-water — capacity is bounded by the edge count and reached on the first pass
+			s.dirtyEdges = append(s.dirtyEdges, ei) // capacity is bounded by the edge count and reached on the first pass
 		}
 	}
 }
@@ -414,8 +410,6 @@ func (s *scorer) invalidate(p int) {
 //
 // The third return is the winning swap's pending-distance improvement
 // (positive; the trace's "gain").
-//
-//qaoa:hotpath
 func (s *scorer) bestSwap(scan []graphs.Edge) (int, int, float64, bool) {
 	if s.edgesStale {
 		// Fresh layer: score the edges that can matter — only an edge with
@@ -483,8 +477,6 @@ func (s *scorer) bestSwap(scan []graphs.Edge) (int, int, float64, bool) {
 // candidate only if the pending term strictly improves — the negated form
 // of the test also rejects NaN deltas (∞−∞ on disconnected devices), which
 // would otherwise loop forever; forcePath then reports the disconnection.
-//
-//qaoa:hotpath
 func (s *scorer) scoreEdge(ei, u, v int) {
 	cand := false
 	if s.activeCnt[u] != 0 || s.activeCnt[v] != 0 {
@@ -551,7 +543,7 @@ func (s *scorer) scoreEdge(ei, u, v int) {
 	if cand {
 		if s.candPos[ei] < 0 {
 			s.candPos[ei] = int32(len(s.candList))
-			s.candList = append(s.candList, int32(ei)) //lint:allow hotpath: amortized high-water — capacity is bounded by the edge count and reached on the first pass
+			s.candList = append(s.candList, int32(ei)) // capacity is bounded by the edge count and reached on the first pass
 		}
 	} else if p := s.candPos[ei]; p >= 0 {
 		last := len(s.candList) - 1
@@ -569,8 +561,6 @@ func (s *scorer) scoreEdge(ei, u, v int) {
 // exchange; no other entry changes. This is the incremental distance
 // update — O(entries touching the edge) instead of a full
 // O(pending+lookahead) rebuild.
-//
-//qaoa:hotpath
 func (s *scorer) applySwap(a, b int) {
 	s.stamp++
 	stamp := s.stamp
@@ -599,7 +589,7 @@ func (s *scorer) applySwap(a, b int) {
 			if pend {
 				// Only pending entries can become ready to emit; lookahead
 				// entries stay off the dirty list.
-				s.dirty = append(s.dirty, i) //lint:allow hotpath: amortized high-water — capacity is bounded by the entry count and reached on the first pass
+				s.dirty = append(s.dirty, i) // capacity is bounded by the entry count and reached on the first pass
 			}
 			// Every edge whose score includes this entry is incident to an
 			// old or new endpoint. The endpoints in {a, b} — at least one
@@ -640,8 +630,6 @@ func (s *scorer) applySwap(a, b int) {
 // maxPendingHop returns the largest hop distance between the current
 // endpoints of the alive pending entries (0 when none remain) — the
 // per-state input of routeLayer's lower-bound pruning.
-//
-//qaoa:hotpath
 func (s *scorer) maxPendingHop() float64 {
 	hop, n := s.tab.hop, s.tab.n
 	m := 0.0
@@ -661,8 +649,6 @@ func (s *scorer) maxPendingHop() float64 {
 // the smallest current endpoint distance (first minimum in entry order —
 // the forced-path target selection of the reference implementation), or
 // -1 when none remain.
-//
-//qaoa:hotpath
 func (s *scorer) closestPending() int {
 	best := -1
 	bestD := 0.0

@@ -44,8 +44,9 @@ func TestDevTablesBitwiseSymmetric(t *testing.T) {
 }
 
 // TestScoringKernelZeroAlloc pins the zero-alloc contract of the scoring
-// kernel: once the pooled scratch is warm, a bestSwap search plus the
-// incremental applySwap update allocate nothing. The measured body applies
+// kernel: once the pooled scratch is warm, a bestSwap search, the
+// incremental applySwap update and the pruning queries maxPendingHop and
+// closestPending allocate nothing. The measured body applies
 // the winning swap twice (an involution restoring the scoring state) so
 // every run sees identical state, and resets the emission dirty list the
 // way emitReady would without emitting.
@@ -71,8 +72,11 @@ func TestScoringKernelZeroAlloc(t *testing.T) {
 	if _, _, _, ok := sc.bestSwap(scan); !ok {
 		t.Fatal("setup: no improving swap available")
 	}
+	var hop float64
+	var closest int
 	body := func() {
 		sc.dirty = sc.dirty[:0]
+		hop, closest = sc.maxPendingHop(), sc.closestPending()
 		a, b, _, ok := sc.bestSwap(scan)
 		if !ok {
 			return
@@ -84,5 +88,8 @@ func TestScoringKernelZeroAlloc(t *testing.T) {
 	body()
 	if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
 		t.Errorf("scoring kernel allocated %v times per run, want 0", allocs)
+	}
+	if hop == 0 || closest < 0 {
+		t.Errorf("maxPendingHop = %v, closestPending = %d: the pending layer should be live", hop, closest)
 	}
 }

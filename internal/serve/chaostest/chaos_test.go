@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/faultinject"
+	"repro/internal/leaktest"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 )
@@ -99,26 +100,9 @@ func chaosRequest(rng *rand.Rand) serve.CompileRequest {
 	}
 }
 
-// checkNoGoroutineLeak polls until the goroutine count returns to the
-// baseline (plus slack for runtime helpers), failing after 10s. Retried
-// because finished handlers and connections unwind asynchronously.
-func checkNoGoroutineLeak(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d now vs %d at baseline\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
+// checkNoGoroutineLeak fails t unless the goroutine count returns to the
+// baseline plus slack for runtime helpers.
+func checkNoGoroutineLeak(t *testing.T, baseline int) { leaktest.Check(t, baseline+3) }
 
 // TestChaosStorm is the main harness: concurrent clients firing randomized
 // requests while pass faults, panics, latency, short deadlines, client

@@ -60,8 +60,7 @@ func ServeObs(addr string, col *obsv.Collector, progress obsv.ProgressFunc) (*Ob
 	o.ln = ln
 	o.handler = obsv.NewHandler(col, progress, o.Readiness)
 	o.srv = NewHTTPServer(o.handler)
-	//lint:allow leakcheck: Serve returns on Shutdown/Close; nothing useful to do with the error
-	go o.srv.Serve(ln)
+	go o.srv.Serve(ln) // returns on Shutdown; nothing useful to do with the error
 	return o, nil
 }
 

@@ -339,8 +339,6 @@ func (e *Executor) SampleIdeal(rng *rand.Rand, shots int) []uint64 {
 // deposit rewrites slot-register sample indices in place as physical basis
 // indices: bit i of a sample moves to bit final[i], and every qubit without
 // a slot reads its bit from cbits.
-//
-//qaoa:hotpath
 func (e *Executor) deposit(samples []uint64, cbits uint64) {
 	if len(e.final) == e.circ.NQubits {
 		return // every qubit holds a slot: slot i is physical qubit i
@@ -578,8 +576,6 @@ func (e *Executor) finishTrajectory(s *State, cdf []float64, corr []diagTerm, p 
 // sampleFrame fills out with draws from the state X^x·|amp⟩, building its
 // CDF in cdf by reading amp[i^x] for basis index i: the probabilities, in
 // the order, that applying the X gates would have produced.
-//
-//qaoa:hotpath
 func sampleFrame(amp []complex128, cdf []float64, x uint64, rng *rand.Rand, out []uint64) {
 	var acc float64
 	for i := range cdf {

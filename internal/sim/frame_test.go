@@ -6,10 +6,13 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/leaktest"
+	"repro/internal/obsv"
 )
 
 // unitary returns the 2^n×2^n matrix of c, column j the state c makes of
@@ -370,6 +373,47 @@ func TestSampleNoisyAllocsPerTrajectory(t *testing.T) {
 		}
 		t.Logf("%d trajectories: %.0f allocations per call", traj, allocs)
 	}
+}
+
+// TestSampleFrameZeroAlloc: drawing a trajectory's shots into caller
+// buffers allocates nothing — sampleFrame, sampleCDFInto (the shared-CDF
+// path), searchCDF, and deposit on an executor whose idle qubits make it
+// rewrite every sample.
+func TestSampleFrameZeroAlloc(t *testing.T) {
+	ex := NewExecutor(idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1))
+	rng := rand.New(rand.NewSource(3))
+	amp := RandomState(len(ex.final), rng).Amp
+	cdf := make([]float64, len(amp))
+	out := make([]uint64, 256)
+	allocs := testing.AllocsPerRun(20, func() {
+		sampleFrame(amp, cdf, 0b101, rng, out)
+		ex.deposit(out, 1<<2)
+		sampleCDFInto(cdf, rng, out)
+		ex.deposit(out, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run, want 0", allocs)
+	}
+}
+
+// TestSampleNoisyJoinsWorkers: both trajectory fan-outs — replayFaulty's
+// waves over the faulty trajectories and forEachPlan over the idle ones —
+// leave no goroutine running once SampleNoisy returns.
+func TestSampleNoisyJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	col := obsv.New()
+	SetCollector(col)
+	defer SetCollector(nil)
+	c := idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1)
+	nm := NoiseFromDevice(device.Melbourne15())
+	baseline := runtime.NumGoroutine()
+	NewExecutor(c).SampleNoisy(nm, 1024, 64, rand.New(rand.NewSource(3)))
+	cnt := col.Snapshot().Counters
+	if cnt[obsv.CntSimReplays] < 2 || cnt[obsv.CntSimIdealReuses] < 2 {
+		t.Fatalf("%d faulty and %d idle trajectories: both fan-outs need at least 2",
+			cnt[obsv.CntSimReplays], cnt[obsv.CntSimIdealReuses])
+	}
+	leaktest.Check(t, baseline)
 }
 
 // diagTailTestCircuit builds a circuit whose program ends in a diagonal

@@ -266,8 +266,6 @@ func mergeTerm(terms []diagTerm, t diagTerm) []diagTerm {
 }
 
 // termFac returns the term's factor for basis index x.
-//
-//qaoa:hotpath
 func termFac(t *diagTerm, x uint64) complex128 {
 	var sel int
 	if t.parity {
@@ -281,8 +279,6 @@ func termFac(t *diagTerm, x uint64) complex128 {
 // applyDiag multiplies every amplitude by the run's phase: the global
 // factor (1 after Fuse's finalize pass whenever terms exist) times each
 // term's mask-selected factor.
-//
-//qaoa:hotpath
 func (s *State) applyDiag(global complex128, terms []diagTerm) {
 	if len(terms) == 0 {
 		if global == 1 {
@@ -314,8 +310,6 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 
 // applyTerm1 applies a single-bit diagonal term: fac[0] on the bit-clear
 // half, fac[1] on the bit-set half.
-//
-//qaoa:hotpath
 func (s *State) applyTerm1(b int, f0, f1 complex128) {
 	n := len(s.Amp) >> 1
 	bm := b - 1
@@ -335,8 +329,6 @@ func (s *State) applyTerm1(b int, f0, f1 complex128) {
 // applyTerm2 applies a two-bit diagonal term by quarter-state subsets:
 // parity terms put fac[1] on the two mixed-bit quarters, subset terms on
 // the both-set quarter.
-//
-//qaoa:hotpath
 func (s *State) applyTerm2(mask uint64, parity bool, f0, f1 complex128) {
 	n := len(s.Amp) >> 2
 	lo := int(mask & -mask)
@@ -375,8 +367,6 @@ func (s *State) applyTerm2(mask uint64, parity bool, f0, f1 complex128) {
 // apply executes ops [from, to) of the program on s without touching the
 // counters — the building block shared by RunOn and the executor's rolling
 // ideal prefix.
-//
-//qaoa:hotpath
 func (p *Program) apply(s *State, from, to int) {
 	for i := from; i < to; i++ {
 		op := &p.ops[i]

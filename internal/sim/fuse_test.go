@@ -239,3 +239,32 @@ func ExampleProgram() {
 	fmt.Println(p.Gates(), p.Ops())
 	// Output: 5 3
 }
+
+// TestProgramRunOnZeroAlloc: executing a fused program on a reused state
+// allocates nothing. The two circuits reach apply, applyDiag, applyTerm1,
+// applyTerm2, Apply1Q on all three matrix shapes (apply1QReal,
+// apply1QCross and the generic loop), ApplyCNOT, ApplySwap, expand2 and
+// sortBits. Fusion folds CZ into diagonal runs and emits only one- and
+// two-bit terms, so ApplyCZ and a three-bit term (termFac) are called
+// directly.
+func TestProgramRunOnZeroAlloc(t *testing.T) {
+	wide := []diagTerm{{mask: 0b1011, fac: [2]complex128{1, -1}}}
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{
+		{"qaoa layer", qaoaLayerCircuit(10)},
+		{"compiled style", compiledStyleCircuit(10, 300)},
+	} {
+		p := Fuse(tc.c)
+		s := NewState(10)
+		allocs := testing.AllocsPerRun(20, func() {
+			p.RunOn(s)
+			s.ApplyCZ(2, 7)
+			s.applyDiag(1, wide)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -2,14 +2,20 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/leaktest"
 )
 
 // ApplyZZ fanned out and serial must agree bit for bit: each chunk
-// multiplies its own amplitudes by the same two phases.
+// multiplies its own amplitudes by the same two phases. The fan-out's
+// workers must all have exited once ApplyZZ returns.
 func TestParallelMatchesSerial(t *testing.T) {
 	saved := parallelThreshold
 	defer func() { parallelThreshold = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	baseline := runtime.NumGoroutine()
 
 	const n = 10
 	base := RandomState(n, rand.New(rand.NewSource(1)))
@@ -23,6 +29,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	serial := run(1 << 30)
 	parallel := run(1)
+	leaktest.Check(t, baseline)
 
 	for i := range serial.Amp {
 		if serial.Amp[i] != parallel.Amp[i] {

@@ -70,8 +70,6 @@ func (s *State) Probability(x uint64) float64 {
 // matrix structure: the compiled gate set is dominated by real matrices
 // (H, X, RY) and real-diagonal/imaginary-off-diagonal ones (RX), whose
 // scalar kernels cost half the flops of a generic complex 2×2.
-//
-//qaoa:hotpath
 func (s *State) Apply1Q(q int, m [2][2]complex128) {
 	bit := 1 << uint(q)
 	if imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0 {
@@ -97,8 +95,6 @@ func (s *State) Apply1Q(q int, m [2][2]complex128) {
 
 // apply1QReal is Apply1Q for an all-real matrix: each output component is a
 // real linear combination, so a pair costs 8 real multiplies instead of 16.
-//
-//qaoa:hotpath
 func (s *State) apply1QReal(bit int, m00, m01, m10, m11 float64) {
 	n := len(s.Amp)
 	for base := 0; base < n; base += bit << 1 {
@@ -115,8 +111,6 @@ func (s *State) apply1QReal(bit int, m00, m01, m10, m11 float64) {
 // apply1QCross is Apply1Q for m = [[a, i·b], [i·c, d]] with a, b, c, d real
 // (RX and Y have this shape): i·b·a1 contributes (-b·Im a1, b·Re a1), so the
 // pair again costs 8 real multiplies.
-//
-//qaoa:hotpath
 func (s *State) apply1QCross(bit int, a, b, c, d float64) {
 	n := len(s.Amp)
 	for base := 0; base < n; base += bit << 1 {
@@ -135,8 +129,6 @@ func (s *State) apply1QCross(bit int, a, b, c, d float64) {
 // unique basis index with both bits clear and the remaining bits of k in
 // order, so a two-qubit kernel iterates exactly its touched subset instead
 // of scanning all 2^n amplitudes.
-//
-//qaoa:hotpath
 func expand2(k, loBit, hiBit int) int {
 	loMask, hiMask := loBit-1, hiBit-1
 	i := (k&^loMask)<<1 | (k & loMask)
@@ -144,8 +136,6 @@ func expand2(k, loBit, hiBit int) int {
 }
 
 // sortBits returns the two bit masks in increasing order.
-//
-//qaoa:hotpath
 func sortBits(a, b int) (int, int) {
 	if a > b {
 		return b, a
@@ -156,8 +146,6 @@ func sortBits(a, b int) (int, int) {
 // ApplyCNOT applies CNOT with control c, target t. Iteration is over the
 // 2^{n-2} swapped pairs only (control bit set, target bit clear), so no
 // amplitude is visited without being moved.
-//
-//qaoa:hotpath
 func (s *State) ApplyCNOT(c, t int) {
 	cb, tb := 1<<uint(c), 1<<uint(t)
 	lo, hi := sortBits(cb, tb)
@@ -171,8 +159,6 @@ func (s *State) ApplyCNOT(c, t int) {
 
 // ApplyCZ applies a controlled-Z between a and b, visiting only the
 // 2^{n-2} amplitudes with both bits set.
-//
-//qaoa:hotpath
 func (s *State) ApplyCZ(a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	lo, hi := sortBits(ab, bb)
@@ -204,8 +190,6 @@ func (s *State) ApplyZZ(a, b int, theta float64) {
 
 // ApplySwap exchanges qubits a and b, visiting only the 2^{n-2} swapped
 // pairs (bit a set, bit b clear, and the mirror image).
-//
-//qaoa:hotpath
 func (s *State) ApplySwap(a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	lo, hi := sortBits(ab, bb)
@@ -276,8 +260,6 @@ func (s *State) Sample(rng *rand.Rand, shots int) []uint64 {
 // when it has capacity for the full state (allocating otherwise). Callers
 // on a hot path pass out[:0] and a reused cdf to make sampling
 // allocation-free; Sample is the convenience form.
-//
-//qaoa:hotpath
 func (s *State) SampleInto(rng *rand.Rand, shots int, out []uint64, cdf []float64) []uint64 {
 	if cap(cdf) >= len(s.Amp) {
 		cdf = cdf[:len(s.Amp)]
@@ -286,7 +268,7 @@ func (s *State) SampleInto(rng *rand.Rand, shots int, out []uint64, cdf []float6
 	}
 	acc := buildCDF(s.Amp, cdf)
 	for k := 0; k < shots; k++ {
-		out = append(out, uint64(searchCDF(cdf, rng.Float64()*acc))) //lint:allow hotpath: appends into the caller's presized buffer; grows only when the caller under-allocates
+		out = append(out, uint64(searchCDF(cdf, rng.Float64()*acc)))
 	}
 	return out
 }
@@ -294,8 +276,6 @@ func (s *State) SampleInto(rng *rand.Rand, shots int, out []uint64, cdf []float6
 // buildCDF fills cdf (len(amp) entries) with the cumulative measurement
 // distribution and returns the total mass (1 up to rounding for a
 // normalized state).
-//
-//qaoa:hotpath
 func buildCDF(amp []complex128, cdf []float64) float64 {
 	var acc float64
 	for i, a := range amp {
@@ -307,8 +287,6 @@ func buildCDF(amp []complex128, cdf []float64) float64 {
 
 // sampleCDFInto fills out with draws from a prebuilt CDF — the shared-CDF
 // fast path of Executor for trajectories that reuse the ideal state.
-//
-//qaoa:hotpath
 func sampleCDFInto(cdf []float64, rng *rand.Rand, out []uint64) {
 	total := cdf[len(cdf)-1]
 	for k := range out {
@@ -317,8 +295,6 @@ func sampleCDFInto(cdf []float64, rng *rand.Rand, out []uint64) {
 }
 
 // searchCDF returns the smallest index i with cdf[i] > r.
-//
-//qaoa:hotpath
 func searchCDF(cdf []float64, r float64) int {
 	lo, hi := 0, len(cdf)-1
 	for lo < hi {
