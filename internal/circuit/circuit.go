@@ -190,8 +190,9 @@ func (c *Circuit) AppendText(b []byte) []byte {
 	b = append(b, "qreg q["...)
 	b = AppendQubit(b, c.NQubits)
 	b = append(b, ";\n"...)
+	var ac angleTexts
 	for _, g := range c.Gates {
-		b = g.AppendText(b)
+		b = g.appendText(b, &ac)
 		b = append(b, ";\n"...)
 	}
 	return b

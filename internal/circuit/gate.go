@@ -162,7 +162,11 @@ func (g Gate) String() string {
 
 // AppendText appends the String rendering of g to b: angles as %.5f,
 // qubits as q[i].
-func (g Gate) AppendText(b []byte) []byte {
+func (g Gate) AppendText(b []byte) []byte { return g.appendText(b, nil) }
+
+// appendText is AppendText with the angles rendered through ac, which
+// may be nil.
+func (g Gate) appendText(b []byte, ac *angleTexts) []byte {
 	b = append(b, g.Kind.String()...)
 	if n := g.Kind.NumParams(); n > 0 {
 		b = append(b, '(')
@@ -170,7 +174,7 @@ func (g Gate) AppendText(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendFloat(b, g.Params[i], 'f', 5, 64)
+			b = ac.appendAngle(b, g.Params[i])
 		}
 		b = append(b, ')')
 	}
@@ -183,6 +187,40 @@ func (g Gate) AppendText(b []byte) []byte {
 		b = AppendQubit(b, g.Q0)
 		b = append(b, ",q["...)
 		b = AppendQubit(b, g.Q1)
+	}
+	return b
+}
+
+// angleTexts remembers where in the buffer being appended to the first
+// angleTextsCap distinct angles were rendered, so a repeated angle copies
+// its text instead of formatting it again: strconv renders every %.5f
+// through its slow exact path, and a compiled circuit repeats a handful
+// of angles across all its gates. Entries are keyed by the float's bits,
+// so the copy is the text the angle formats to.
+type angleTexts struct {
+	n          int
+	bits       [angleTextsCap]uint64
+	start, end [angleTextsCap]int
+}
+
+const angleTextsCap = 16
+
+// appendAngle appends f as %.5f; a nil ac always formats.
+func (ac *angleTexts) appendAngle(b []byte, f float64) []byte {
+	if ac == nil {
+		return strconv.AppendFloat(b, f, 'f', 5, 64)
+	}
+	bits := math.Float64bits(f)
+	for i := 0; i < ac.n; i++ {
+		if ac.bits[i] == bits {
+			return append(b, b[ac.start[i]:ac.end[i]]...)
+		}
+	}
+	start := len(b)
+	b = strconv.AppendFloat(b, f, 'f', 5, 64)
+	if ac.n < angleTextsCap {
+		ac.bits[ac.n], ac.start[ac.n], ac.end[ac.n] = bits, start, len(b)
+		ac.n++
 	}
 	return b
 }

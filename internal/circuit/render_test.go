@@ -118,6 +118,36 @@ func TestCircuitTextMatchesFmtOracle(t *testing.T) {
 	}
 }
 
+// A compiled circuit repeats a few angles across many gates, and
+// Circuit.AppendText copies a repeat's text from its first rendering: draw
+// angles from pools smaller and larger than the table it keeps, signed
+// zeros and NaN included, behind a prefix the copies must not read.
+func TestCircuitTextRepeatedAnglesMatchFmtOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, distinct := range []int{1, 3, angleTextsCap, angleTextsCap + 1, 4 * angleTextsCap} {
+		pool := append([]float64(nil), specialAngles[:5]...)
+		for len(pool) < distinct {
+			pool = append(pool, randomAngle(rng))
+		}
+		pool = pool[:distinct]
+		c := &Circuit{NQubits: 20}
+		for i := 0; i < 400; i++ {
+			g := randomGate(rng, Kind(1+rng.Intn(int(Barrier))))
+			for k := range g.Params {
+				g.Params[k] = pool[rng.Intn(len(pool))]
+			}
+			c.Gates = append(c.Gates, g)
+		}
+		want := circuitStringOracle(c)
+		if got := c.String(); got != want {
+			t.Fatalf("%d distinct angles: String differs from oracle\ngot:\n%s\nwant:\n%s", distinct, got, want)
+		}
+		if got := c.AppendText([]byte("zz(9.99999) ")); string(got) != "zz(9.99999) "+want {
+			t.Fatalf("%d distinct angles: AppendText after a prefix differs from oracle", distinct)
+		}
+	}
+}
+
 // goldenCircuit covers every gate kind once, with angles that exercise
 // rounding and sign.
 func goldenCircuit() *Circuit {

@@ -46,6 +46,23 @@ func serveDiscard(s *Server, req *http.Request, w *discardWriter, body []byte) {
 	s.Handler().ServeHTTP(w, req)
 }
 
+// The request decode alone, on a body shaped like qaoad-hot's.
+func BenchmarkServeDecode(b *testing.B) {
+	body := hotRequestBody(b)
+	r := bytes.NewReader(body)
+	var req CompileRequest
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(body)
+		req = CompileRequest{}
+		if err := decodeCompileRequest(r, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // A full-key hit: decode, lookup, and the response framed around the
 // outcome's rendered circuit.
 func BenchmarkServeFullHit(b *testing.B) {
@@ -90,7 +107,7 @@ func BenchmarkServeColdRender(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := compile.CompileSpecResilient(context.Background(), p.spec, p.dev, p.preset, compile.FallbackOptions{Seed: p.seed})
+	res, err := compile.CompileSpecResilient(context.Background(), p.spec(), p.dev, p.preset, compile.FallbackOptions{Seed: p.seed})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestCompileResponseBytesMatchEncoder(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no cached outcome", tc.name)
 		}
-		res, err := compile.CompileSpecResilient(context.Background(), p.spec, p.dev, p.preset,
+		res, err := compile.CompileSpecResilient(context.Background(), p.spec(), p.dev, p.preset,
 			compile.FallbackOptions{Seed: p.seed, PackingLimit: p.packing, Optimize: p.optimize, Retries: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -120,7 +120,6 @@ type ErrorResponse struct {
 // parsedRequest is a validated, canonicalized compile request ready to key
 // the cache and drive a flight.
 type parsedRequest struct {
-	spec     compile.Spec
 	dev      *device.Device
 	deviceID string // registered "name@epoch" or "inline:<fingerprint>"
 	devName  string
@@ -132,14 +131,31 @@ type parsedRequest struct {
 	key      string        // full cache/singleflight key (includes angles)
 	wait     time.Duration // client wait budget (0 = server default)
 
-	// Parameterized-compilation view of the same request: the angle-free
-	// structure, the angles to bind, and the angle-free skeleton-tier key.
-	// Unused (skelKey empty) for optimize requests — peephole rewriting is
-	// angle-dependent, so those can only be cached post-bind.
+	// The request as structure and angles: the angle-free structure, the
+	// angles to bind, and the angle-free skeleton-tier key. Optimize
+	// requests have no skeleton key — peephole rewriting is angle-
+	// dependent, so those can only be cached post-bind — and compile the
+	// concrete spec built from the other three.
 	paramSpec compile.ParamSpec
 	gamma     []float64
 	beta      []float64
 	skelKey   string
+}
+
+// spec is the request's concrete compile.Spec: the canonical terms at each
+// level's gamma, plus the level's mixer angle. Only optimize requests
+// compile one, so it is built there, not on every request; parseRequest
+// has already checked everything compile.Spec.Validate checks.
+func (p *parsedRequest) spec() compile.Spec {
+	s := compile.Spec{N: p.paramSpec.N, Levels: make([]compile.LevelSpec, p.paramSpec.P)}
+	for l := range s.Levels {
+		terms := make([]compile.ZZTerm, len(p.paramSpec.Terms))
+		for i, t := range p.paramSpec.Terms {
+			terms[i] = compile.ZZTerm{U: t.U, V: t.V, Theta: -p.gamma[l] * t.Weight}
+		}
+		s.Levels[l] = compile.LevelSpec{ZZ: terms, MixerBeta: p.beta[l]}
+	}
+	return s
 }
 
 // flightKey keys the singleflight group: skeleton-eligible requests
@@ -280,21 +296,10 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 	}
 
-	p.spec = compile.Spec{N: c.N, Levels: make([]compile.LevelSpec, levels)}
-	for l := 0; l < levels; l++ {
-		terms := make([]compile.ZZTerm, len(canon))
-		for i, e := range canon {
-			terms[i] = compile.ZZTerm{U: e.u, V: e.v, Theta: -gamma[l] * e.w}
-		}
-		p.spec.Levels[l] = compile.LevelSpec{ZZ: terms, MixerBeta: beta[l]}
-	}
-	if err := p.spec.Validate(); err != nil {
-		return nil, err
-	}
-
-	// The same request, angle-free: the skeleton tier compiles this once per
-	// structure and binds gamma/beta per request. The term order matches the
-	// spec's, so a bound skeleton is byte-identical to the direct compile.
+	// The request's structure, angle-free: the skeleton tier compiles this
+	// once per structure and binds gamma/beta per request; spec rebuilds
+	// the concrete terms in the same order, so a bound skeleton is
+	// byte-identical to the direct compile.
 	p.gamma, p.beta = gamma, beta
 	p.paramSpec = compile.ParamSpec{N: c.N, P: levels, Terms: make([]compile.WeightedTerm, len(canon))}
 	for i, e := range canon {

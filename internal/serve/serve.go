@@ -378,7 +378,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyLen)
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeCompileRequest(r.Body, &req); err != nil {
 		s.obs.Inc(obsv.CntServeBadRequests)
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Status: "error", Kind: "bad_request", Error: "decoding request: " + err.Error()})
 		s.finishRequest(rs, http.StatusBadRequest, "bad_request", "decoding request: "+err.Error())
@@ -686,7 +686,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		}
 	} else {
 		var res *compile.Result
-		res, err = compile.CompileSpecResilient(cctx, p.spec, p.dev, start, fo)
+		res, err = compile.CompileSpecResilient(cctx, p.spec(), p.dev, start, fo)
 		if err == nil {
 			fb = res.Fallback
 			out = buildOutcome(p, res, start, rerouted, tr.Events(), nil)
