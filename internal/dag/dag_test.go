@@ -102,10 +102,8 @@ func TestCommuteSoundness(t *testing.T) {
 		}
 		s1 := sim.RandomState(n, rng)
 		s2 := s1.Clone()
-		s1.ApplyGate(a)
-		s1.ApplyGate(b)
-		s2.ApplyGate(b)
-		s2.ApplyGate(a)
+		s1.Run(circuit.New(n).Append(a, b))
+		s2.Run(circuit.New(n).Append(b, a))
 		for i := range s1.Amp {
 			if cmplx.Abs(s1.Amp[i]-s2.Amp[i]) > 1e-9 {
 				t.Logf("claimed commuting pair %v, %v does not commute", a, b)

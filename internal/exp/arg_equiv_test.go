@@ -23,9 +23,48 @@ func oldStyleSampleNoisy(c *circuit.Circuit, nm *sim.NoiseModel, shots, traj int
 		if t < extra {
 			k++
 		}
-		s := sim.RunNoisy(c, nm, rng)
+		s := sim.NewState(c.NQubits).Run(withDrawnFaults(c, nm, rng))
 		for _, x := range s.Sample(rng, k) {
 			out = append(out, flipReadoutBits(x, nm.Readout, rng))
+		}
+	}
+	return out
+}
+
+// withDrawnFaults returns a copy of c with one trajectory's Pauli faults
+// spliced in as gates, each right after the gate it follows. Faults are
+// drawn at NoiseModel's documented rates: a one-qubit gate faults with
+// probability OneQubit and draws X, Y or Z; a two-qubit gate draws once
+// per CNOT it decomposes into, at its edge's rate, and a fault is one of
+// the 15 non-identity Pauli pairs.
+func withDrawnFaults(c *circuit.Circuit, nm *sim.NoiseModel, rng *rand.Rand) *circuit.Circuit {
+	paulis := [4]func(q int) circuit.Gate{nil, circuit.NewX, circuit.NewY, circuit.NewZ}
+	out := circuit.New(c.NQubits)
+	for _, g := range c.Gates {
+		out.Append(g)
+		switch {
+		case g.Kind == circuit.Barrier || g.Kind == circuit.Measure:
+		case g.Arity() == 2:
+			u, v := min(g.Q0, g.Q1), max(g.Q0, g.Q1)
+			e, ok := nm.TwoQubit[[2]int{u, v}]
+			if !ok {
+				e = nm.TwoQubitDefault
+			}
+			for i := 0; i < circuit.NativeCNOTCost(g.Kind); i++ {
+				if rng.Float64() < e {
+					k := 1 + rng.Intn(15)
+					if d := k & 3; d != 0 {
+						out.Append(paulis[d](g.Q0))
+					}
+					if d := k >> 2 & 3; d != 0 {
+						out.Append(paulis[d](g.Q1))
+					}
+				}
+			}
+		default:
+			if nm.OneQubit > 0 && rng.Float64() < nm.OneQubit {
+				out.Append(paulis[rng.Intn(3)+1](g.Q0))
+			}
 		}
 	}
 	return out

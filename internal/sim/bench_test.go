@@ -128,15 +128,6 @@ func BenchmarkApplyCNOT(b *testing.B) {
 	})
 }
 
-func BenchmarkApplyCZ(b *testing.B) {
-	benchApply2Q(b, func(s *State, a, t int) {
-		if a == t {
-			t = (t + 1) % 16
-		}
-		s.ApplyCZ(a, t)
-	})
-}
-
 func BenchmarkApplySwap(b *testing.B) {
 	benchApply2Q(b, func(s *State, a, t int) {
 		if a == t {
@@ -144,6 +135,17 @@ func BenchmarkApplySwap(b *testing.B) {
 		}
 		s.ApplySwap(a, t)
 	})
+}
+
+// BenchmarkApply1QLarge measures the serial 1Q kernel on a 20-qubit state,
+// where the register no longer fits in cache.
+func BenchmarkApply1QLarge(b *testing.B) {
+	s := NewState(20)
+	s.Apply1Q(0, matH)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Apply1Q(i%20, matH)
+	}
 }
 
 // BenchmarkSampleShots measures drawing 512 shots from a 15-qubit state

@@ -34,8 +34,9 @@ import (
 // The substream derivation intentionally changes the RNG stream relative to
 // the pre-fusion SampleNoisy (which threaded one shared *rand.Rand through
 // every trajectory sequentially); BENCH_baseline.json was refreshed in the
-// same change. RunNoisy still consumes the caller's stream exactly as
-// before and stays draw-for-draw compatible.
+// same change. Within a trajectory's stream, drawFaults still consumes draws
+// in the interleaved order, so the gate-by-gate reference the tests keep
+// (reference_test.go) runs the same faults from the same stream.
 
 // fault is one planned Pauli injection: after applying circuit gate index
 // gate, apply Pauli digit d0 to q0 and (for two-qubit faults, q1 ≥ 0) d1 to
@@ -151,8 +152,7 @@ type Executor struct {
 	// gate (-1: none); final lists the physical qubit each slot ends on,
 	// ascending.
 	start, final []int
-	active       *circuit.Circuit // circ on the slots, gate for gate; swaps become barriers
-	prog         *Program         // the ideal program on the slots
+	prog         *Program // the ideal program on the slots
 	// sites places the faults drawn after each circuit gate in prog, and
 	// op k covers the circuit gates opGates[opStart[k]:opStart[k+1]], in
 	// circuit order.
@@ -182,28 +182,20 @@ func NewExecutor(c *circuit.Circuit) *Executor {
 	if e.start, e.final, ok = slotLayout(c, false); !ok {
 		e.start, e.final, _ = slotLayout(c, true)
 	}
-	// Swaps, Measure and Barrier gates become barriers, placeholders that
-	// keep gate indices aligned: a fault's gate index addresses both
-	// circuits.
-	e.active = &circuit.Circuit{NQubits: len(e.final), Gates: make([]circuit.Gate, len(c.Gates))}
 	e.sites = make([]faultSite, len(c.Gates))
 	at := append([]int(nil), e.start...)
 	for i, g := range c.Gates {
 		switch {
 		case g.Kind == circuit.Barrier || g.Kind == circuit.Measure:
-			g = circuit.Gate{Kind: circuit.Barrier}
+			// no op covers it, and no fault follows it
 		case g.Kind == circuit.Swap:
 			at[g.Q0], at[g.Q1] = at[g.Q1], at[g.Q0]
 			e.sites[i] = faultSite{swap: true, slot: [2]int8{int8(at[g.Q0]), int8(at[g.Q1])}}
-			g = circuit.Gate{Kind: circuit.Barrier}
 		case g.Arity() == 2:
-			g.Q0, g.Q1 = at[g.Q0], at[g.Q1]
-			e.sites[i].slot = [2]int8{int8(g.Q0), int8(g.Q1)}
+			e.sites[i].slot = [2]int8{int8(at[g.Q0]), int8(at[g.Q1])}
 		default:
-			g.Q0 = at[g.Q0]
-			e.sites[i].slot = [2]int8{int8(g.Q0), -1}
+			e.sites[i].slot = [2]int8{int8(at[g.Q0]), -1}
 		}
-		e.active.Gates[i] = g
 	}
 	e.prog = compactProgram(Fuse(c), append([]int(nil), e.start...), len(e.final))
 
@@ -311,7 +303,7 @@ func slotLayout(c *circuit.Circuit, every bool) (start, final []int, ok bool) {
 func (e *Executor) Ideal() *State {
 	if e.ideal == nil {
 		sp := Collector().StartSpan(obsv.SpanSimIdealRun)
-		e.ideal = e.prog.RunOn(NewState(e.active.NQubits))
+		e.ideal = e.prog.RunOn(NewState(len(e.final)))
 		sp.End()
 	}
 	return e.ideal
@@ -516,7 +508,7 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
 	if workers > len(faulty) {
 		workers = len(faulty)
 	}
-	n := e.active.NQubits
+	n := len(e.final)
 	prefix := getState(n)
 	defer putState(prefix)
 	prefix.Reset()

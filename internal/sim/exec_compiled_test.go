@@ -52,6 +52,9 @@ func TestExecutorCompiledMatchesFullRegister(t *testing.T) {
 				if sim.ActiveQubits(ex) < c.NQubits {
 					idle++
 				}
+				if err := sim.TermBitsError(ex); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
 				seed := 10*gi + int64(preset)
 				if p > 1 {
 					seed += 100 * int64(p)

@@ -209,34 +209,6 @@ func TestSubstreamSeedSpread(t *testing.T) {
 	}
 }
 
-func TestSampleIntoMatchesSample(t *testing.T) {
-	s := RandomState(6, rand.New(rand.NewSource(8)))
-	want := s.Sample(rand.New(rand.NewSource(31)), 500)
-	cdf := make([]float64, len(s.Amp))
-	out := s.SampleInto(rand.New(rand.NewSource(31)), 500, make([]uint64, 0, 500), cdf)
-	if len(want) != len(out) {
-		t.Fatalf("length %d vs %d", len(out), len(want))
-	}
-	for i := range want {
-		if want[i] != out[i] {
-			t.Fatalf("sample %d differs: %#x vs %#x", i, out[i], want[i])
-		}
-	}
-}
-
-func TestSampleIntoZeroAlloc(t *testing.T) {
-	s := RandomState(8, rand.New(rand.NewSource(8)))
-	rng := rand.New(rand.NewSource(5))
-	out := make([]uint64, 0, 256)
-	cdf := make([]float64, len(s.Amp))
-	allocs := testing.AllocsPerRun(20, func() {
-		out = s.SampleInto(rng, 256, out[:0], cdf)
-	})
-	if allocs != 0 {
-		t.Fatalf("SampleInto allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 func TestExpectationTableMatchesDiagonal(t *testing.T) {
 	s := RandomState(7, rand.New(rand.NewSource(17)))
 	cost := func(x uint64) float64 { return float64((x * 2654435761) % 97) }

@@ -10,3 +10,7 @@ var (
 // ActiveQubits returns the number of slots in the register the executor
 // simulates.
 func ActiveQubits(e *Executor) int { return len(e.final) }
+
+// TermBitsError reports a diagonal term of the executor's program whose
+// mask has other than one or two bits.
+func TermBitsError(e *Executor) error { return programTermBitsError(e.prog) }

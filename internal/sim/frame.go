@@ -104,7 +104,7 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 			if w.faultInside(e, faults) && faults[w.fi].gate != last {
 				m = [2][2]complex128{{1, 0}, {0, 1}}
 				for _, gi := range src {
-					m = matMul(conj1Q(mat1Q(e.active.Gates[gi]), w.x>>q&1 != 0, w.z>>q&1 != 0), m)
+					m = matMul(conj1Q(mat1Q(e.circ.Gates[gi]), w.x>>q&1 != 0, w.z>>q&1 != 0), m)
 					w.gateFaults(e, faults, int(gi))
 				}
 			} else {
@@ -136,7 +136,7 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 		}
 		for _, gi := range e.srcGates(w.k) {
 			var added bool
-			if corr, added = addCorrection(corr, e.active.Gates[gi], w.x); added {
+			if corr, added = addCorrection(corr, e.circ.Gates[gi], e.sites[gi].slot, w.x); added {
 				w.corrGates++
 			}
 			w.gateFaults(e, faults, int(gi))
@@ -250,38 +250,39 @@ func conj1Q(m [2][2]complex128, x, z bool) [2][2]complex128 {
 }
 
 // addCorrection merges into corr the diagonal correction (P·D·P)·D† that a
-// frame with X bits x makes of diagonal gate g, up to a global phase, and
-// reports whether g needs one. Z bits commute with D. Written as a term
-// with fac[0] = 1:
+// frame with X bits x makes of diagonal gate g, whose qubits hold the given
+// slots, up to a global phase, and reports whether g needs one. Z bits
+// commute with D. Written as a term with fac[0] = 1:
 //
 //   - RZ and U1 with diagonal (d0, d1) and X on their qubit: (d0/d1)² on
 //     bit 1 (Z needs none: X·Z·X = −Z);
 //   - CPhase(θ) with X on one of its qubits: e^{−2iθ} on odd parity;
 //   - CZ with X on one qubit: Z on the other; on both: −1 on odd parity.
-func addCorrection(corr []diagTerm, g circuit.Gate, x uint64) ([]diagTerm, bool) {
-	a := x>>uint(g.Q0)&1 != 0
+func addCorrection(corr []diagTerm, g circuit.Gate, slot [2]int8, x uint64) ([]diagTerm, bool) {
+	s0, s1 := uint(slot[0]), uint(slot[1])
+	a := x>>s0&1 != 0
 	switch g.Kind {
 	case circuit.RZ, circuit.U1:
 		if a {
 			d0, d1 := diag1Q(g)
 			r := d0 / d1
-			return mergeTerm(corr, diagTerm{mask: 1 << uint(g.Q0), fac: [2]complex128{1, r * r}}), true
+			return mergeTerm(corr, diagTerm{mask: 1 << s0, fac: [2]complex128{1, r * r}}), true
 		}
 	case circuit.CPhase:
-		if b := x>>uint(g.Q1)&1 != 0; a != b {
+		if b := x>>s1&1 != 0; a != b {
 			f := cmplx.Exp(complex(0, -2*g.Params[0]))
-			return mergeTerm(corr, diagTerm{mask: 1<<uint(g.Q0) | 1<<uint(g.Q1), fac: [2]complex128{1, f}, parity: true}), true
+			return mergeTerm(corr, diagTerm{mask: 1<<s0 | 1<<s1, fac: [2]complex128{1, f}, parity: true}), true
 		}
 	case circuit.CZ:
-		b := x>>uint(g.Q1)&1 != 0
+		b := x>>s1&1 != 0
 		var t diagTerm
 		switch {
 		case a && b:
-			t = diagTerm{mask: 1<<uint(g.Q0) | 1<<uint(g.Q1), parity: true}
+			t = diagTerm{mask: 1<<s0 | 1<<s1, parity: true}
 		case a:
-			t = diagTerm{mask: 1 << uint(g.Q1)}
+			t = diagTerm{mask: 1 << s1}
 		case b:
-			t = diagTerm{mask: 1 << uint(g.Q0)}
+			t = diagTerm{mask: 1 << s0}
 		default:
 			return corr, false
 		}

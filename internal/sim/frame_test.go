@@ -127,8 +127,9 @@ func mat2(m [2][2]complex128) [][]complex128 {
 //   - 1Q ops keep the frame and run conj1Q(G) = P†·G·P, exactly;
 //   - CNOT runs as is and moves the frame to G·P·G† (up to phase);
 //   - diagonal gates keep the frame and run Corr·G = P†·G·P (up to phase),
-//     with Corr from addCorrection; diagonal 1Q gates may sit in either a
-//     1Q op or a diagonal one, so both rules must hold for them;
+//     with Corr from addCorrection, whose every term has one or two mask
+//     bits; diagonal 1Q gates may sit in either a 1Q op or a diagonal one,
+//     so both rules must hold for them;
 //   - a swap keeps the slot frame: G·P·G† is P with its qubits exchanged.
 func TestFrameRulesMatchMatrixProducts(t *testing.T) {
 	gates := []circuit.Gate{
@@ -160,9 +161,12 @@ func TestFrameRulesMatchMatrixProducts(t *testing.T) {
 					}
 				}
 				if diagonal {
-					corr, added := addCorrection(nil, g, x)
+					corr, added := addCorrection(nil, g, [2]int8{int8(g.Q0), int8(g.Q1)}, x)
 					if added != (len(corr) > 0) {
 						t.Errorf("%s: addCorrection reported %v with %d terms", what, added, len(corr))
+					}
+					if err := termBitsError(corr); err != nil {
+						t.Errorf("%s: addCorrection: %v", what, err)
 					}
 					if d := phaseDiff(conj, matProd(diagMatrix(n, corr), G), true); d > 1e-12 {
 						t.Errorf("%s: Corr·G deviates from P†·G·P by %g", what, d)
@@ -323,9 +327,9 @@ func TestFrameReplayMatchesRunNoisy(t *testing.T) {
 						inRun++
 					}
 				case ex.prog.ops[st.op].kind == opDiag:
-					g := ex.active.Gates[f.gate]
+					g := ex.circ.Gates[f.gate]
 					for _, gj := range ex.srcGates(int(st.op)) {
-						h := ex.active.Gates[gj]
+						h := ex.circ.Gates[gj]
 						if int(gj) > f.gate && g.Kind == h.Kind && g.Arity() == 2 && g.Q0 == h.Q0 && g.Q1 == h.Q1 {
 							firstMerged++
 							break
@@ -376,9 +380,9 @@ func TestSampleNoisyAllocsPerTrajectory(t *testing.T) {
 }
 
 // TestSampleFrameZeroAlloc: drawing a trajectory's shots into caller
-// buffers allocates nothing — sampleFrame, sampleCDFInto (the shared-CDF
-// path), searchCDF, and deposit on an executor whose idle qubits make it
-// rewrite every sample.
+// buffers allocates nothing — sampleFrame, buildCDF and sampleCDFInto (the
+// shared-CDF path), searchCDF, and deposit on an executor whose idle qubits
+// make it rewrite every sample.
 func TestSampleFrameZeroAlloc(t *testing.T) {
 	ex := NewExecutor(idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1))
 	rng := rand.New(rand.NewSource(3))
@@ -388,6 +392,7 @@ func TestSampleFrameZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		sampleFrame(amp, cdf, 0b101, rng, out)
 		ex.deposit(out, 1<<2)
+		buildCDF(amp, cdf)
 		sampleCDFInto(cdf, rng, out)
 		ex.deposit(out, 0)
 	})

@@ -142,7 +142,7 @@ type fuser struct {
 }
 
 // Fuse compiles c into a fused Program. Measure and Barrier gates are
-// dropped (they are no-ops at the state level, matching ApplyGate).
+// dropped: they are no-ops at the state level.
 func Fuse(c *circuit.Circuit) *Program {
 	f := &fuser{
 		prog:      &Program{n: c.NQubits, src: make([]int32, len(c.Gates))},
@@ -265,20 +265,11 @@ func mergeTerm(terms []diagTerm, t diagTerm) []diagTerm {
 	return append(terms, t)
 }
 
-// termFac returns the term's factor for basis index x.
-func termFac(t *diagTerm, x uint64) complex128 {
-	var sel int
-	if t.parity {
-		sel = bits.OnesCount64(x&t.mask) & 1
-	} else if x&t.mask == t.mask {
-		sel = 1
-	}
-	return t.fac[sel]
-}
-
 // applyDiag multiplies every amplitude by the run's phase: the global
 // factor (1 after Fuse's finalize pass whenever terms exist) times each
-// term's mask-selected factor.
+// term's mask-selected factor. Every term has one or two mask bits: Fuse
+// and addCorrection build terms only from one- and two-qubit gates, and
+// compactProgram maps distinct qubits to distinct slots.
 func (s *State) applyDiag(global complex128, terms []diagTerm) {
 	if len(terms) == 0 {
 		if global == 1 {
@@ -295,15 +286,10 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 		if f0 == 1 && f1 == 1 {
 			continue // merged to identity (e.g. CZ·CZ)
 		}
-		switch bits.OnesCount64(tm.mask) {
-		case 1:
+		if bits.OnesCount64(tm.mask) == 1 {
 			s.applyTerm1(int(tm.mask), f0, f1)
-		case 2:
+		} else {
 			s.applyTerm2(tm.mask, tm.parity, f0, f1)
-		default:
-			for i := range s.Amp {
-				s.Amp[i] *= termFac(tm, uint64(i))
-			}
 		}
 	}
 }

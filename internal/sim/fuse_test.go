@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -114,11 +115,48 @@ func maxAmpDiff(a, b *State) float64 {
 
 func cAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
 
+// termBitsError reports a diagonal term whose mask has other than one or
+// two bits: applyDiag has a kernel for those two shapes only.
+func termBitsError(terms []diagTerm) error {
+	for _, t := range terms {
+		if n := bits.OnesCount64(t.mask); n != 1 && n != 2 {
+			return fmt.Errorf("diagonal term with mask %#b has %d bits, want 1 or 2", t.mask, n)
+		}
+	}
+	return nil
+}
+
+// programTermBitsError applies termBitsError to every diagonal op of p.
+func programTermBitsError(p *Program) error {
+	for i, op := range p.ops {
+		if op.kind != opDiag {
+			continue
+		}
+		if err := termBitsError(op.terms); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// assertTermBits checks the term masks of c's fused program and of the
+// executor's compacted one.
+func assertTermBits(t *testing.T, what string, c *circuit.Circuit) {
+	t.Helper()
+	if err := programTermBitsError(Fuse(c)); err != nil {
+		t.Fatalf("%s: fused program: %v", what, err)
+	}
+	if err := programTermBitsError(NewExecutor(c).prog); err != nil {
+		t.Fatalf("%s: compacted program: %v", what, err)
+	}
+}
+
 func TestFuseMatchesReferenceRandomCircuits(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		n := 2 + rng.Intn(5)
 		c := randCircuit(rng, n, 30+rng.Intn(120))
+		assertTermBits(t, fmt.Sprintf("trial %d", trial), c)
 		want := referenceRun(c)
 		got := Fuse(c).RunOn(NewState(n))
 		if d := maxAmpDiff(want, got); d > 1e-12 {
@@ -132,6 +170,7 @@ func TestFuseMatchesReferenceDiagonalHeavy(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
 		n := 2 + rng.Intn(5)
 		c := randDiagHeavy(rng, n, 40+rng.Intn(160))
+		assertTermBits(t, fmt.Sprintf("trial %d", trial), c)
 		want := referenceRun(c)
 		got := Fuse(c).RunOn(NewState(n))
 		if d := maxAmpDiff(want, got); d > 1e-12 {
@@ -244,11 +283,8 @@ func ExampleProgram() {
 // allocates nothing. The two circuits reach apply, applyDiag, applyTerm1,
 // applyTerm2, Apply1Q on all three matrix shapes (apply1QReal,
 // apply1QCross and the generic loop), ApplyCNOT, ApplySwap, expand2 and
-// sortBits. Fusion folds CZ into diagonal runs and emits only one- and
-// two-bit terms, so ApplyCZ and a three-bit term (termFac) are called
-// directly.
+// sortBits.
 func TestProgramRunOnZeroAlloc(t *testing.T) {
-	wide := []diagTerm{{mask: 0b1011, fac: [2]complex128{1, -1}}}
 	for _, tc := range []struct {
 		name string
 		c    *circuit.Circuit
@@ -258,11 +294,7 @@ func TestProgramRunOnZeroAlloc(t *testing.T) {
 	} {
 		p := Fuse(tc.c)
 		s := NewState(10)
-		allocs := testing.AllocsPerRun(20, func() {
-			p.RunOn(s)
-			s.ApplyCZ(2, 7)
-			s.applyDiag(1, wide)
-		})
+		allocs := testing.AllocsPerRun(20, func() { p.RunOn(s) })
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocations per run, want 0", tc.name, allocs)
 		}

@@ -21,10 +21,6 @@ var (
 		{0, complex(0, -1)},
 		{complex(0, 1), 0},
 	}
-	matZ = [2][2]complex128{
-		{1, 0},
-		{0, -1},
-	}
 )
 
 // MatRX returns the X-rotation exp(-i θ/2 X).

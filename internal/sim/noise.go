@@ -53,46 +53,6 @@ func (nm *NoiseModel) twoQubitError(a, b int) float64 {
 	return nm.TwoQubitDefault
 }
 
-func applyPauliDigit(s *State, q, digit int) {
-	switch digit {
-	case 1:
-		s.Apply1Q(q, matX)
-	case 2:
-		s.Apply1Q(q, matY)
-	case 3:
-		s.Apply1Q(q, matZ)
-	}
-}
-
-// RunNoisy executes one noisy trajectory of c from |0…0⟩: every gate is
-// applied ideally and followed by a probabilistic Pauli fault. The returned
-// state is a single sample of the noisy process; average observables over
-// many trajectories. The fault sites are drawn up front (the state
-// evolution consumes no randomness, so the caller's RNG stream is consumed
-// draw-for-draw as in the interleaved formulation); then every gate runs
-// through ApplyGate and every drawn Pauli as a gate after it. This is the
-// plain oracle the Executor's Pauli-frame replay is checked against: it
-// shares no simulation code with it.
-func RunNoisy(c *circuit.Circuit, nm *NoiseModel, rng *rand.Rand) *State {
-	return runFaults(c, drawFaults(c, nm, rng, nil))
-}
-
-// runFaults runs c from |0…0⟩ gate by gate, applying each planned fault's
-// Paulis as gates right after its gate.
-func runFaults(c *circuit.Circuit, faults []fault) *State {
-	s := NewState(c.NQubits)
-	for gi, g := range c.Gates {
-		s.ApplyGate(g)
-		for ; len(faults) > 0 && faults[0].gate == gi; faults = faults[1:] {
-			applyPauliDigit(s, faults[0].q0, faults[0].d0)
-			if faults[0].q1 >= 0 {
-				applyPauliDigit(s, faults[0].q1, faults[0].d1)
-			}
-		}
-	}
-	return s
-}
-
 // SampleNoisy draws shots measurement outcomes from the noisy execution of
 // c, spreading them over the given number of independent Pauli-fault
 // trajectories and applying readout bit-flips to every sample. It is the

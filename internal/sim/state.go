@@ -157,37 +157,6 @@ func (s *State) ApplyCNOT(c, t int) {
 	}
 }
 
-// ApplyCZ applies a controlled-Z between a and b, visiting only the
-// 2^{n-2} amplitudes with both bits set.
-func (s *State) ApplyCZ(a, b int) {
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	lo, hi := sortBits(ab, bb)
-	n := len(s.Amp) >> 2
-	for k := 0; k < n; k++ {
-		i := expand2(k, lo, hi) | ab | bb
-		s.Amp[i] = -s.Amp[i]
-	}
-}
-
-// ApplyZZ applies exp(-i θ/2 Z⊗Z) between a and b: amplitudes where the two
-// bits agree pick up e^{-iθ/2}, disagreeing ones e^{+iθ/2}. It is the
-// gate-by-gate path's full-state sweep (fused programs fold CPhase into
-// diagonal runs instead), and the one kernel that fans out: see parallelFor.
-func (s *State) ApplyZZ(a, b int, theta float64) {
-	same := cmplx.Exp(complex(0, -theta/2))
-	diff := cmplx.Exp(complex(0, +theta/2))
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	parallelFor(len(s.Amp), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if (i&ab != 0) == (i&bb != 0) {
-				s.Amp[i] *= same
-			} else {
-				s.Amp[i] *= diff
-			}
-		}
-	})
-}
-
 // ApplySwap exchanges qubits a and b, visiting only the 2^{n-2} swapped
 // pairs (bit a set, bit b clear, and the mirror image).
 func (s *State) ApplySwap(a, b int) {
@@ -201,48 +170,9 @@ func (s *State) ApplySwap(a, b int) {
 	}
 }
 
-// ApplyGate dispatches a single IR gate. Measure and Barrier gates are
-// no-ops at the state level (sampling is performed separately).
-func (s *State) ApplyGate(g circuit.Gate) {
-	switch g.Kind {
-	case circuit.H:
-		s.Apply1Q(g.Q0, matH)
-	case circuit.X:
-		s.Apply1Q(g.Q0, matX)
-	case circuit.Y:
-		s.Apply1Q(g.Q0, matY)
-	case circuit.Z:
-		s.Apply1Q(g.Q0, matZ)
-	case circuit.RX:
-		s.Apply1Q(g.Q0, MatRX(g.Params[0]))
-	case circuit.RY:
-		s.Apply1Q(g.Q0, MatRY(g.Params[0]))
-	case circuit.RZ:
-		s.Apply1Q(g.Q0, MatRZ(g.Params[0]))
-	case circuit.U1:
-		s.Apply1Q(g.Q0, MatU1(g.Params[0]))
-	case circuit.U2:
-		s.Apply1Q(g.Q0, MatU2(g.Params[0], g.Params[1]))
-	case circuit.U3:
-		s.Apply1Q(g.Q0, MatU3(g.Params[0], g.Params[1], g.Params[2]))
-	case circuit.CNOT:
-		s.ApplyCNOT(g.Q0, g.Q1)
-	case circuit.CZ:
-		s.ApplyCZ(g.Q0, g.Q1)
-	case circuit.CPhase:
-		s.ApplyZZ(g.Q0, g.Q1, g.Params[0])
-	case circuit.Swap:
-		s.ApplySwap(g.Q0, g.Q1)
-	case circuit.Measure, circuit.Barrier:
-		// no-op
-	default:
-		panic("sim: cannot simulate " + g.Kind.String())
-	}
-}
-
-// Run executes c through the gate-fusion pre-pass (see Fuse) and returns s
-// for chaining. Semantically identical (up to float rounding) to applying
-// every gate in order with ApplyGate.
+// Run executes c on s through its fused program, Fuse(c).RunOn(s), and
+// returns s for chaining: the full-register entry point to the kernels the
+// executor runs on its slot register.
 func (s *State) Run(c *circuit.Circuit) *State {
 	if c.NQubits > s.N {
 		panic(fmt.Sprintf("sim: circuit needs %d qubits, state has %d", c.NQubits, s.N))
@@ -252,24 +182,10 @@ func (s *State) Run(c *circuit.Circuit) *State {
 
 // Sample draws shots basis states from the measurement distribution.
 func (s *State) Sample(rng *rand.Rand, shots int) []uint64 {
-	return s.SampleInto(rng, shots, make([]uint64, 0, shots), nil)
-}
-
-// SampleInto appends shots basis states drawn from the measurement
-// distribution to out and returns it, using cdf as the CDF scratch buffer
-// when it has capacity for the full state (allocating otherwise). Callers
-// on a hot path pass out[:0] and a reused cdf to make sampling
-// allocation-free; Sample is the convenience form.
-func (s *State) SampleInto(rng *rand.Rand, shots int, out []uint64, cdf []float64) []uint64 {
-	if cap(cdf) >= len(s.Amp) {
-		cdf = cdf[:len(s.Amp)]
-	} else {
-		cdf = make([]float64, len(s.Amp))
-	}
-	acc := buildCDF(s.Amp, cdf)
-	for k := 0; k < shots; k++ {
-		out = append(out, uint64(searchCDF(cdf, rng.Float64()*acc)))
-	}
+	cdf := make([]float64, len(s.Amp))
+	buildCDF(s.Amp, cdf)
+	out := make([]uint64, shots)
+	sampleCDFInto(cdf, rng, out)
 	return out
 }
 
