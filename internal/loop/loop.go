@@ -171,8 +171,8 @@ func (e *HardwareEvaluator) Expectation(params qaoa.Params) (float64, error) {
 	var sum float64
 	for _, y := range samples {
 		x := res.ExtractLogical(y)
-		if tbl != nil && x < uint64(len(tbl)) {
-			sum += float64(tbl[x])
+		if v, ok := qaoa.CutFromTable(tbl, x); ok {
+			sum += float64(v)
 		} else {
 			sum += e.Prob.Cost(x)
 		}

@@ -66,6 +66,7 @@ const (
 	CntSimReplayGates      = "sim/replay_gates"
 	CntSimCheckpoints      = "sim/checkpoints"
 	CntSimCutTableBuilds   = "sim/cut_table_builds"
+	CntSimHalfRegisters    = "sim/half_registers"
 	CntTraceEvents         = "trace/events"
 
 	// qaoad compile-service counters (internal/serve).
@@ -283,6 +284,7 @@ var registry = map[string]NameKind{
 	CntSimReplayGates:      KindCounter,
 	CntSimCheckpoints:      KindCounter,
 	CntSimCutTableBuilds:   KindCounter,
+	CntSimHalfRegisters:    KindCounter,
 	CntTraceEvents:         KindCounter,
 
 	SpanServeRequest: KindSpan,

@@ -17,13 +17,17 @@ func TestCostTableMatchesCutValueBits(t *testing.T) {
 		if tbl == nil {
 			t.Fatalf("trial %d: nil table for n=%d", trial, n)
 		}
-		if len(tbl) != 1<<uint(n) {
-			t.Fatalf("trial %d: table length %d, want %d", trial, len(tbl), 1<<uint(n))
+		if len(tbl) != 1<<uint(n-1) {
+			t.Fatalf("trial %d: table length %d, want %d", trial, len(tbl), 1<<uint(n-1))
 		}
-		for x := uint64(0); x < uint64(len(tbl)); x++ {
-			if want := float64(graphs.CutValueBits(g, x)); float64(tbl[x]) != want {
-				t.Fatalf("trial %d: tbl[%#x] = %d, CutValueBits = %g", trial, x, tbl[x], want)
+		for x := uint64(0); x < 1<<uint(n); x++ {
+			v, ok := CutFromTable(tbl, x)
+			if want := float64(graphs.CutValueBits(g, x)); !ok || float64(v) != want {
+				t.Fatalf("trial %d: cut of %#x from the table = %d (%v), CutValueBits = %g", trial, x, v, ok, want)
 			}
+		}
+		if _, ok := CutFromTable(tbl, 1<<uint(n)); ok {
+			t.Fatalf("trial %d: the table claims bitstring %#x beyond its %d vertices", trial, 1<<uint(n), n)
 		}
 	}
 }

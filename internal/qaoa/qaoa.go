@@ -49,8 +49,8 @@ func (p *Problem) NumQubits() int { return p.G.N() }
 // array lookup instead of an O(edges) scan.
 func (p *Problem) Cost(x uint64) float64 {
 	if t := p.costTab.Load(); t != nil {
-		if tbl := *t; x < uint64(len(tbl)) {
-			return float64(tbl[x])
+		if v, ok := CutFromTable(*t, x); ok {
+			return float64(v)
 		}
 	}
 	return float64(graphs.CutValueBits(p.G, x))

@@ -23,15 +23,19 @@ const CostTableMaxQubits = 22
 // cut value outgrow a table entry.
 const _ uint8 = CostTableMaxQubits * (CostTableMaxQubits - 1) / 2
 
-// CostTable returns the dense table tbl[x] = cut value of bitstring x for
-// every x < 2^n, building and caching it on first use; nil when the graph
-// exceeds CostTableMaxQubits. The build is O(1) per entry: with h the
-// highest set bit of x, flipping vertex h to side 1 changes the cut by
-// deg(h) minus twice the number of h's neighbors already on side 1, all
-// read off precomputed neighbor bitmasks. Cut values are edge counts, and
-// a graph on at most CostTableMaxQubits vertices has at most 231 edges, so
-// a byte holds every one exactly at an eighth of the memory of float64;
-// the table is the bulk of what a problem keeps alive.
+// CostTable returns the cut-value table of the bitstrings whose top vertex
+// bit is clear, tbl[x] = cut value of x for every x < 2^(n−1) (one entry
+// for n ≤ 1), building and caching it on first use; nil when the graph
+// exceeds CostTableMaxQubits. A cut is unchanged when every vertex changes
+// side, so x with the top bit set has the cut of x ^ (2^n−1), and the
+// table holds every cut value in half the bytes (CutFromTable reads it).
+// The build is O(1) per entry: with h the highest set bit of x, flipping
+// vertex h to side 1 changes the cut by deg(h) minus twice the number of
+// h's neighbors already on side 1, all read off precomputed neighbor
+// bitmasks. Cut values are edge counts, and a graph on at most
+// CostTableMaxQubits vertices has at most 231 edges, so a byte holds every
+// one exactly at an eighth of the memory of float64; the table is the bulk
+// of what a problem keeps alive.
 //
 // The table turns both the simulator's diagonal expectation sweep and
 // large-sample approximation ratios from O(edges) per bitstring into one
@@ -51,8 +55,22 @@ func (p *Problem) CostTable() []uint8 {
 	return tbl
 }
 
-// buildCutTable computes the full cut-value table by the highest-bit DP
-// described on CostTable.
+// CutFromTable returns the cut value of bitstring x read off tbl, a table
+// from CostTable, and false when x lies outside the 2·len(tbl) bitstrings
+// the table covers.
+func CutFromTable(tbl []uint8, x uint64) (uint8, bool) {
+	h := uint64(len(tbl))
+	if x >= h {
+		x ^= 2*h - 1
+	}
+	if x >= h {
+		return 0, false
+	}
+	return tbl[x], true
+}
+
+// buildCutTable computes the cut-value table of the bitstrings with the
+// top vertex bit clear by the highest-bit DP described on CostTable.
 func buildCutTable(g *graphs.Graph) []uint8 {
 	n := g.N()
 	nbr := make([]uint64, n)
@@ -60,7 +78,7 @@ func buildCutTable(g *graphs.Graph) []uint8 {
 		nbr[e.U] |= 1 << uint(e.V)
 		nbr[e.V] |= 1 << uint(e.U)
 	}
-	tbl := make([]uint8, 1<<uint(n))
+	tbl := make([]uint8, 1<<uint(max(n-1, 0)))
 	for x := uint64(1); x < uint64(len(tbl)); x++ {
 		h := bits.Len64(x) - 1
 		rest := x &^ (1 << uint(h))
@@ -75,7 +93,7 @@ func buildCutTable(g *graphs.Graph) []uint8 {
 // the instance fits it.
 func simExpectation(c *circuit.Circuit, p *Problem) float64 {
 	st := sim.NewState(c.NQubits).Run(c)
-	if tbl := p.CostTable(); tbl != nil && len(tbl) >= len(st.Amp) {
+	if tbl := p.CostTable(); tbl != nil && 2*len(tbl) == len(st.Amp) {
 		return st.ExpectationTable(tbl)
 	}
 	return st.ExpectationDiagonal(p.Cost)

@@ -146,6 +146,9 @@ func putCDF(b []float64) { cdfPool.Put(&b) }
 // keyed by physical edge) and samples are deposited back onto the physical
 // register before readout noise, so the RNG stream matches full-register
 // simulation and every sample does up to rounding (see DESIGN.md §8).
+//
+// When the circuit is MaxCut QAOA in shape, the executor evolves only the
+// low half of the slot register once every slot is prepared (halfStart).
 type Executor struct {
 	circ *circuit.Circuit // the physical circuit; fault plans are drawn on it
 	// start maps each physical qubit to the slot it holds before the first
@@ -158,8 +161,12 @@ type Executor struct {
 	// circuit order.
 	sites            []faultSite
 	opGates, opStart []int32
-	ideal            *State
-	idealCDF         []float64
+	// With half set, the ops from hk on run on the low half of the slot
+	// register (see halfStart); otherwise hk is len(prog.ops).
+	hk       int
+	half     bool
+	ideal    *State
+	idealCDF []float64
 }
 
 // faultSite places the faults drawn after one circuit gate in the
@@ -227,7 +234,160 @@ func NewExecutor(c *circuit.Circuit) *Executor {
 			next[st.op]++
 		}
 	}
+	e.hk, e.half = len(e.prog.ops), false
+	if hk, ok := e.halfStart(); ok {
+		e.hk, e.half = hk, true
+		e.foldTop(e.prog.ops[hk:])
+		if col := Collector(); col.Enabled() {
+			col.Inc(obsv.CntSimHalfRegisters)
+		}
+	}
 	return e
+}
+
+// Half-register simulation. A MaxCut QAOA state is unchanged when every
+// qubit flips: X^{⊗n} commutes with the cost's ZZ terms and the RX mixer,
+// and |+⟩^n is a +1 eigenvector of it (Shaydulin, Hadfield, Hogg & Safro,
+// "Classical symmetries and the Quantum Approximate Optimization
+// Algorithm", 2021). So a[x] = a[x^(2^n−1)], and the low half of the slot
+// register, top slot bit clear, holds every amplitude. halfStart finds the
+// op from which the executor may evolve only that half, and the walker's
+// states, which run the ops conjugated by their Pauli frames, stay
+// symmetric too: P·M·P and a correction of a parity term commute with the
+// global flip as M does. The low half then goes through the very
+// multiplications it goes through in the full register (apply1QTop), so
+// samples are unchanged bit for bit (DESIGN.md §8).
+
+// halfStart reports whether the executor's circuit allows half-register
+// simulation and, if so, hk: the op just past the op that holds the last
+// slot's preparation H. It requires at least two slots and:
+//
+//   - every slot's first gate, swaps included, is an H (its preparation):
+//     a slot is |0⟩ and untouched by faults until then, and moving every
+//     preparation to the front shows the state at hk to be symmetric;
+//   - every other 1Q gate has m00 == m11 and m01 == m10 exactly, so it,
+//     its frame conjugates and their products commute with the global
+//     flip and keep that shape;
+//   - every other 2Q gate is a Swap or a CPhase: a CNOT or CZ falls back;
+//   - the ops from hk on are 1Q ops of that shape or diagonal ops of
+//     2-bit parity terms.
+func (e *Executor) halfStart() (int, bool) {
+	n := len(e.final)
+	if n < 2 {
+		return 0, false
+	}
+	var prepped uint64 // slot bits
+	has := func(s int8) bool { return prepped>>uint(s)&1 != 0 }
+	last := -1 // the gate of the last preparation
+	for gi, g := range e.circ.Gates {
+		slot := e.sites[gi].slot
+		switch {
+		case g.Kind == circuit.Barrier || g.Kind == circuit.Measure:
+		case g.Kind == circuit.Swap:
+			for _, s := range slot {
+				if s >= 0 && !has(s) {
+					return 0, false
+				}
+			}
+		case g.Arity() == 2:
+			if g.Kind != circuit.CPhase || !has(slot[0]) || !has(slot[1]) {
+				return 0, false
+			}
+		case !has(slot[0]):
+			if g.Kind != circuit.H {
+				return 0, false
+			}
+			prepped |= 1 << uint(slot[0])
+			last = gi
+		default:
+			if !flipSymmetric(mat1Q(g)) {
+				return 0, false
+			}
+		}
+	}
+	if prepped != 1<<uint(n)-1 {
+		return 0, false
+	}
+	hk := int(e.prog.src[last]) + 1
+	for _, op := range e.prog.ops[hk:] {
+		switch op.kind {
+		case op1Q:
+			if !flipSymmetric(op.m) {
+				return 0, false
+			}
+		case opDiag:
+			for _, t := range op.terms {
+				if !t.parity || bits.OnesCount64(t.mask) != 2 {
+					return 0, false
+				}
+			}
+		default:
+			return 0, false
+		}
+	}
+	return hk, true
+}
+
+// flipSymmetric reports whether m = [[a, b], [b, a]], a 1Q matrix that
+// commutes with X.
+func flipSymmetric(m [2][2]complex128) bool { return m[0][0] == m[1][1] && m[0][1] == m[1][0] }
+
+// foldTop rewrites ops, the program from hk on, for the half register: a
+// 1Q op on the top slot becomes op1QTop, and every term folds its top bit
+// (foldTerms).
+func (e *Executor) foldTop(ops []fusedOp) {
+	top := len(e.final) - 1
+	for i := range ops {
+		if op := &ops[i]; op.kind == op1Q && op.q0 == top {
+			op.kind = op1QTop
+		} else if op.kind == opDiag {
+			e.foldTerms(op.terms)
+		}
+	}
+}
+
+// foldTerms rewrites parity terms for the half register, where the top bit
+// is clear: a term on {i, top} selects its factor by bit i alone and so
+// becomes a 1-bit term on i.
+func (e *Executor) foldTerms(terms []diagTerm) {
+	top := uint64(1) << uint(len(e.final)-1)
+	for i := range terms {
+		if terms[i].mask&top != 0 {
+			terms[i].mask ^= top
+		}
+	}
+}
+
+// register returns the register that op k runs on, the part of s that the
+// ops from k on read and write: s, a register of every slot, or from hk on
+// in half mode its low half.
+func (e *Executor) register(s *State, k int) State {
+	if e.half && k >= e.hk {
+		return State{N: s.N - 1, Amp: s.Amp[:len(s.Amp)>>1]}
+	}
+	return *s
+}
+
+// run applies the ideal ops [from, to) to s, a register of every slot: the
+// ops before hk on all of it, the rest on its low half.
+func (e *Executor) run(s *State, from, to int) {
+	if from < e.hk {
+		e.prog.apply(s, from, min(to, e.hk))
+		from = e.hk
+	}
+	if from < to {
+		h := e.register(s, from)
+		e.prog.apply(&h, from, to)
+	}
+}
+
+// mirror fills the upper half of a symmetric register from its low half:
+// the partner of index h+x is h−1−x.
+func mirror(amp []complex128) {
+	h := len(amp) >> 1
+	for x := 0; x < h; x++ {
+		amp[h+x] = amp[h-1-x]
+	}
 }
 
 // srcGates returns the circuit gates op k covers, in circuit order.
@@ -302,8 +462,21 @@ func slotLayout(c *circuit.Circuit, every bool) (start, final []int, ok bool) {
 // it on first use. Callers must treat it as read-only.
 func (e *Executor) Ideal() *State {
 	if e.ideal == nil {
-		sp := Collector().StartSpan(obsv.SpanSimIdealRun)
-		e.ideal = e.prog.RunOn(NewState(len(e.final)))
+		col := Collector()
+		sp := col.StartSpan(obsv.SpanSimIdealRun)
+		s := NewState(len(e.final))
+		ops := len(e.prog.ops)
+		e.run(s, 0, ops)
+		if e.half {
+			mirror(s.Amp)
+		}
+		e.ideal = s
+		if col.Enabled() {
+			col.Inc(obsv.CntSimRuns)
+			col.Add(obsv.CntSimGates, int64(e.prog.gates))
+			col.Add(obsv.CntSimFusedOps, int64(ops))
+			col.Add(obsv.CntSimAmpOps, int64(e.hk)*int64(len(s.Amp))+int64(ops-e.hk)*int64(len(e.register(s, ops).Amp)))
+		}
 		sp.End()
 	}
 	return e.ideal
@@ -526,10 +699,10 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
 	for w0 := 0; w0 < len(faulty); w0 += workers {
 		wave := faulty[w0:min(w0+workers, len(faulty))]
 		for w, p := range wave {
-			e.prog.apply(prefix, pk, p.w.pk)
+			e.run(prefix, pk, p.w.pk)
 			gates += int64(e.opStart[p.w.pk] - e.opStart[pk])
 			pk = p.w.pk
-			copy(scratch[w].Amp, prefix.Amp)
+			copy(scratch[w].Amp, e.register(prefix, pk).Amp)
 		}
 		if len(wave) == 1 {
 			corrs[0] = e.finishTrajectory(scratch[0], cdfs[0], corrs[0], wave[0], nm)
@@ -559,21 +732,44 @@ func (e *Executor) finishTrajectory(s *State, cdf []float64, corr []diagTerm, p 
 	p.gates = int64(e.opStart[len(e.prog.ops)] - e.opStart[p.w.pk])
 	corr = e.walk(&p.w, p.faults, s, corr)
 	p.gates += p.w.corrGates
-	sampleFrame(s.Amp, cdf, p.w.x, p.rng, p.out)
+	sampleFrame(e.register(s, len(e.prog.ops)).Amp, cdf, p.w.x, p.rng, p.out)
 	e.deposit(p.out, p.w.cbits)
 	flipReadoutAll(p.out, nm, p.rng)
 	return corr
 }
 
-// sampleFrame fills out with draws from the state X^x·|amp⟩, building its
-// CDF in cdf by reading amp[i^x] for basis index i: the probabilities, in
-// the order, that applying the X gates would have produced.
+// sampleFrame fills out with draws from the state X^x·|a⟩, building its
+// CDF in cdf by reading a[i^x] for basis index i: the probabilities, in
+// the order, that applying the X gates would have produced. amp is a, or
+// when it is half as long as cdf the low half of a register that flipping
+// every bit leaves unchanged. Then, with h = len(amp) and xl = x folded to
+// the low half (x^(2h−1) when x has the top bit), index i < h reads
+// amp[i^xl] and index h+i reads its mirror amp[i^xl^(h−1)].
 func sampleFrame(amp []complex128, cdf []float64, x uint64, rng *rand.Rand, out []uint64) {
 	var acc float64
-	for i := range cdf {
-		a := amp[uint64(i)^x]
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		cdf[i] = acc
+	if len(amp) == len(cdf) {
+		for i := range cdf {
+			a := amp[uint64(i)^x]
+			acc += real(a)*real(a) + imag(a)*imag(a)
+			cdf[i] = acc
+		}
+	} else {
+		h := len(amp)
+		xl := x
+		if xl&uint64(h) != 0 {
+			xl ^= uint64(2*h - 1)
+		}
+		for i := 0; i < h; i++ {
+			a := amp[uint64(i)^xl]
+			acc += real(a)*real(a) + imag(a)*imag(a)
+			cdf[i] = acc
+		}
+		xu := xl ^ uint64(h-1)
+		for i := 0; i < h; i++ {
+			a := amp[uint64(i)^xu]
+			acc += real(a)*real(a) + imag(a)*imag(a)
+			cdf[h+i] = acc
+		}
 	}
 	for k := range out {
 		out[k] = uint64(searchCDF(cdf, rng.Float64()*acc))

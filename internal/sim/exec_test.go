@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/obsv"
 )
 
 // testNoiseModel returns a model noisy enough that a sizable fraction of
@@ -211,8 +212,14 @@ func TestSubstreamSeedSpread(t *testing.T) {
 
 func TestExpectationTableMatchesDiagonal(t *testing.T) {
 	s := RandomState(7, rand.New(rand.NewSource(17)))
-	cost := func(x uint64) float64 { return float64((x * 2654435761) % 97) }
-	tbl := make([]uint8, len(s.Amp))
+	// An observable unchanged when every bit flips, as a cut value is.
+	cost := func(x uint64) float64 {
+		if x >= 1<<6 {
+			x ^= 1<<7 - 1
+		}
+		return float64((x * 2654435761) % 97)
+	}
+	tbl := make([]uint8, len(s.Amp)/2)
 	for x := range tbl {
 		tbl[x] = uint8(cost(uint64(x)))
 	}
@@ -493,5 +500,156 @@ func TestExecutorIdealBitIdenticalAtScale(t *testing.T) {
 		if got.Amp[i] != want.Amp[i] {
 			t.Fatalf("amplitude %d: active register has %v, full register %v", i, got.Amp[i], want.Amp[i])
 		}
+	}
+}
+
+// halfKernelCircuit builds a MaxCut-QAOA-shaped circuit on n qubits whose
+// top slot meets each of apply1QTop's three kernels: after the H wall and a
+// CPhase ring, qubit n−1 gets an X (real), an RX (cross), and an RX fused
+// with an X (a general complex matrix), each between CPhases on it.
+func halfKernelCircuit(n int) *circuit.Circuit {
+	c := circuit.New(n)
+	top := n - 1
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewH(q))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewCPhase(q, (q+1)%n, 0.3+0.1*float64(q)))
+	}
+	c.Append(circuit.NewX(top))
+	c.Append(circuit.NewCPhase(0, top, 0.9))
+	c.Append(circuit.NewRX(top, 0.7))
+	c.Append(circuit.NewCPhase(1, top, 0.4))
+	c.Append(circuit.NewRX(top, 0.5))
+	c.Append(circuit.NewX(top))
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewRX(q, 0.35))
+	}
+	return c
+}
+
+// TestApply1QTopMatchesFullRegister: on a register that flipping every bit
+// leaves unchanged, the mirrored top-qubit pass over the low half equals the
+// full register's Apply1Q on the top qubit bit for bit, for real, cross and
+// general matrices of the [[a, b], [b, a]] shape, and the full result stays
+// symmetric.
+func TestApply1QTopMatchesFullRegister(t *testing.T) {
+	rx := MatRX(0.7)
+	for _, tc := range []struct {
+		name string
+		m    [2][2]complex128
+	}{
+		{"real", matX},
+		{"cross", rx},
+		{"cross, Z-conjugated", conj1Q(rx, false, true)},
+		{"general", matMul(matX, rx)},
+	} {
+		for _, n := range []int{2, 3, 7} {
+			full := RandomState(n, rand.New(rand.NewSource(int64(n))))
+			mirror(full.Amp)
+			half := &State{N: n - 1, Amp: append([]complex128(nil), full.Amp[:len(full.Amp)/2]...)}
+			full.Apply1Q(n-1, tc.m)
+			half.apply1QTop(tc.m)
+			for x, a := range half.Amp {
+				if a != full.Amp[x] {
+					t.Fatalf("%s, n=%d: amplitude %d = %v, full register %v", tc.name, n, x, a, full.Amp[x])
+				}
+			}
+			last := len(full.Amp) - 1
+			for x, a := range full.Amp {
+				if a != full.Amp[last-x] {
+					t.Fatalf("%s, n=%d: the full register lost its symmetry at %d", tc.name, n, x)
+				}
+			}
+		}
+	}
+}
+
+// TestIdealCountsHalfRegisterWork: an ideal run on the half register counts
+// the amplitudes it swept, 2^n per op before hk and 2^{n−1} after, and the
+// executor counts once in sim/half_registers.
+func TestIdealCountsHalfRegisterWork(t *testing.T) {
+	col := obsv.New()
+	SetCollector(col)
+	defer SetCollector(nil)
+	const n = 8
+	ex := NewExecutor(halfKernelCircuit(n))
+	if !ex.half || ex.hk <= 0 || ex.hk >= len(ex.prog.ops) {
+		t.Fatalf("half %v from op %d of %d: want the half register from inside the program", ex.half, ex.hk, len(ex.prog.ops))
+	}
+	ideal := ex.Ideal()
+	cnt := col.Snapshot().Counters
+	if d := maxAmpDiff(NewState(n).Run(halfKernelCircuit(n)), ideal); d != 0 {
+		t.Fatalf("half-register ideal state deviates from the full register by %g", d)
+	}
+	ops := int64(len(ex.prog.ops))
+	hk := int64(ex.hk)
+	if got, want := cnt[obsv.CntSimAmpOps], hk<<n+(ops-hk)<<(n-1); got != want {
+		t.Errorf("sim/amp_ops = %d, want %d", got, want)
+	}
+	if got := cnt[obsv.CntSimHalfRegisters]; got != 1 {
+		t.Errorf("sim/half_registers = %d, want 1", got)
+	}
+	NewExecutor(noisyTestCircuit(5, 2, 1)).Ideal() // CNOTs: full register
+	if got := col.Snapshot().Counters[obsv.CntSimHalfRegisters]; got != 1 {
+		t.Errorf("sim/half_registers = %d after a full-register executor, want 1", got)
+	}
+}
+
+// staggeredPrepCircuit builds a MaxCut-QAOA-shaped circuit on n qubits
+// whose qubits are prepared one after another, the top qubit first: each H
+// is followed by CPhases to some of the qubits prepared before it and an RX
+// on one of them. Faults on early preparations then change ops before the
+// last H, and the top qubit runs ops on the whole register before the
+// executor halves it. A CPhase ring and an RX on every qubit follow.
+func staggeredPrepCircuit(n int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	c := circuit.New(n)
+	order := append([]int{n - 1}, rng.Perm(n-1)...)
+	for i, q := range order {
+		c.Append(circuit.NewH(q))
+		for _, p := range order[:i] {
+			if rng.Intn(2) == 0 {
+				c.Append(circuit.NewCPhase(p, q, 0.2+rng.Float64()))
+			}
+		}
+		c.Append(circuit.NewRX(order[rng.Intn(i+1)], rng.Float64()))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewCPhase(q, (q+1)%n, 0.2+rng.Float64()))
+	}
+	for q := 0; q < n; q++ {
+		c.Append(circuit.NewRX(q, rng.Float64()))
+	}
+	c.MeasureAll()
+	return c
+}
+
+// TestSampleNoisyStaggeredPrepMatchesNaive: when preparations are spread
+// over the circuit, trajectories whose faults land before the last H
+// checkpoint on the whole register and cross into the half register during
+// their walk; their samples still equal full-register simulation byte for
+// byte.
+func TestSampleNoisyStaggeredPrepMatchesNaive(t *testing.T) {
+	nm := &NoiseModel{OneQubit: 0.03, TwoQubitDefault: 0.1, Readout: []float64{0.02, 0.01, 0.03}}
+	early := 0 // trajectories that checkpoint before hk
+	for seed := int64(0); seed < 4; seed++ {
+		c := staggeredPrepCircuit(6, seed)
+		ex := NewExecutor(c)
+		if !ex.half || ex.hk < 2 {
+			t.Fatalf("seed %d: half %v from op %d; want the half register after several ops", seed, ex.half, ex.hk)
+		}
+		base := rand.New(rand.NewSource(seed)).Int63()
+		for tr := int64(0); tr < 16; tr++ {
+			p := &trajPlan{faults: drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)}
+			ex.plan(p, nil)
+			if ex.replays(p) && p.w.pk < ex.hk {
+				early++
+			}
+		}
+		assertMatchesFullRegister(t, c, nm, seed)
+	}
+	if early == 0 {
+		t.Fatal("no trajectory checkpointed before the half register began")
 	}
 }

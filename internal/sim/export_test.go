@@ -5,6 +5,7 @@ package sim
 var (
 	NaiveSampleNoisy   = naiveSampleNoisy
 	AssertSamplesEqual = assertSamplesEqual
+	NoisyTestCircuit   = noisyTestCircuit
 )
 
 // ActiveQubits returns the number of slots in the register the executor
@@ -14,3 +15,7 @@ func ActiveQubits(e *Executor) int { return len(e.final) }
 // TermBitsError reports a diagonal term of the executor's program whose
 // mask has other than one or two bits.
 func TermBitsError(e *Executor) error { return programTermBitsError(e.prog) }
+
+// HalfRegister reports whether the executor runs the ops after the last
+// preparation H on the low half of its slot register.
+func HalfRegister(e *Executor) bool { return e.half }

@@ -76,10 +76,12 @@ func (e *Executor) plan(p *trajPlan, corr []diagTerm) []diagTerm {
 }
 
 // walk carries w from its op to the end of the program, applying what the
-// trajectory runs to s, which holds the ideal ops [0, w.pk).
+// trajectory runs to s, a register of every slot that holds the ideal ops
+// [0, w.pk); from hk on in half mode only its low half (register).
 func (e *Executor) walk(w *walker, faults []fault, s *State, corr []diagTerm) []diagTerm {
 	for w.k < len(e.prog.ops) {
-		_, corr = e.segment(w, faults, s, corr)
+		r := e.register(s, w.k)
+		_, corr = e.segment(w, faults, &r, corr)
 	}
 	w.trailing(e, faults)
 	return corr
@@ -87,9 +89,10 @@ func (e *Executor) walk(w *walker, faults []fault, s *State, corr []diagTerm) []
 
 // segment carries w over the next segment of the program — a 1Q op, a
 // CNOT, or a stretch of consecutive diagonal ops — consuming the faults
-// placed in it. With s non-nil it applies to s what the trajectory runs in
-// place of the segment, skipping ideal ops that s already holds. It reports
-// whether that differs from the ideal ops.
+// placed in it. With s non-nil it applies to s, the register the segment
+// runs on, what the trajectory runs in place of the segment, skipping
+// ideal ops that s already holds. It reports whether that differs from the
+// ideal ops.
 func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm) (bool, []diagTerm) {
 	ops := e.prog.ops
 	if op := &ops[w.k]; op.kind != opDiag {
@@ -98,7 +101,7 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 		last := int(src[len(src)-1])
 		changed := false
 		switch op.kind {
-		case op1Q:
+		case op1Q, op1QTop:
 			q := uint(op.q0)
 			var m [2][2]complex128
 			if w.faultInside(e, faults) && faults[w.fi].gate != last {
@@ -112,7 +115,11 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 				w.gateFaults(e, faults, last)
 			}
 			changed = m != op.m
-			if s != nil {
+			switch {
+			case s == nil:
+			case op.kind == op1QTop:
+				s.apply1QTop(m)
+			default:
 				s.Apply1Q(op.q0, m)
 			}
 		case opCNOT:
@@ -126,6 +133,7 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 		return changed, corr
 	}
 	corr = corr[:0]
+	half := e.half && w.k >= e.hk
 	for ; w.k < len(ops) && ops[w.k].kind == opDiag; w.k++ {
 		w.swapFaults(e, faults)
 		if s != nil && w.k >= w.pk {
@@ -143,6 +151,9 @@ func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm)
 		}
 	}
 	if s != nil && len(corr) > 0 {
+		if half {
+			e.foldTerms(corr)
+		}
 		s.applyDiag(1, corr)
 	}
 	return len(corr) > 0, corr

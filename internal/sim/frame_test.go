@@ -240,14 +240,20 @@ func frameTestCircuit(seed int64) *circuit.Circuit {
 // checkpoint and a walk to the end — and returns the trajectory's
 // full-register state: the final frame X^x·Z^z applied to the slot state,
 // deposited onto the physical register with the frame's classical bits.
+// An executor on the half register leaves the walker's upper half stale;
+// the slot state is rebuilt from the low half by the mirror rule
+// a[x] = a[x^(2^n−1)].
 func frameState(ex *Executor, faults []fault) *State {
 	p := &trajPlan{faults: append([]fault(nil), faults...)}
 	ex.plan(p, nil)
 	s := ex.Ideal()
 	if ex.replays(p) {
 		s = NewState(len(ex.final))
-		ex.prog.apply(s, 0, p.w.pk)
+		ex.run(s, 0, p.w.pk)
 		ex.walk(&p.w, p.faults, s, nil)
+		if ex.half {
+			mirror(s.Amp)
+		}
 	}
 	full := NewState(ex.circ.NQubits)
 	full.Amp[0] = 0
@@ -300,18 +306,23 @@ func randomPlan(c *circuit.Circuit, rng *rand.Rand) []fault {
 // oracle's (RunNoisy's) up to a global phase, to 1e-12. The plans must
 // cover faults inside fused 1Q runs, on the first of two gates merged into
 // one diagonal term, on swaps, Y faults on qubits without a slot, and
-// trajectories that change only a diagonal stretch closing the program.
+// trajectories that change only a diagonal stretch closing the program,
+// and at least one executor must run on the half register.
 func TestFrameReplayMatchesRunNoisy(t *testing.T) {
 	circuits := []*circuit.Circuit{
 		frameTestCircuit(1), frameTestCircuit(2), frameTestCircuit(3),
 		noisyTestCircuit(5, 3, 7),
 		routedTestCircuit(8, []int{1, 3, 4, 6}, 5),
 		diagTailTestCircuit(1), diagTailTestCircuit(2),
+		staggeredPrepCircuit(6, 1),
 	}
-	var inRun, firstMerged, onSwap, ySlotless, tailOnly int
+	var inRun, firstMerged, onSwap, ySlotless, tailOnly, halves int
 	rng := rand.New(rand.NewSource(99))
 	for ci, c := range circuits {
 		ex := NewExecutor(c)
+		if ex.half {
+			halves++
+		}
 		for trial := 0; trial < 300; trial++ {
 			plan := randomPlan(c, rng)
 			for _, f := range plan {
@@ -322,7 +333,7 @@ func TestFrameReplayMatchesRunNoisy(t *testing.T) {
 					if st.slot[0] < 0 && f.d0 == 2 || st.slot[1] < 0 && f.d1 == 2 {
 						ySlotless++
 					}
-				case ex.prog.ops[st.op].kind == op1Q:
+				case ex.prog.ops[st.op].kind == op1Q || ex.prog.ops[st.op].kind == op1QTop:
 					if src := ex.srcGates(int(st.op)); int(src[len(src)-1]) != f.gate {
 						inRun++
 					}
@@ -348,9 +359,9 @@ func TestFrameReplayMatchesRunNoisy(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("faults inside 1Q runs %d, on the first of merged gates %d, on swaps %d, Y on slotless qubits %d, plans changing only the closing stretch %d",
-		inRun, firstMerged, onSwap, ySlotless, tailOnly)
-	if inRun == 0 || firstMerged == 0 || onSwap == 0 || ySlotless == 0 || tailOnly == 0 {
+	t.Logf("faults inside 1Q runs %d, on the first of merged gates %d, on swaps %d, Y on slotless qubits %d, plans changing only the closing stretch %d, half-register circuits %d",
+		inRun, firstMerged, onSwap, ySlotless, tailOnly, halves)
+	if inRun == 0 || firstMerged == 0 || onSwap == 0 || ySlotless == 0 || tailOnly == 0 || halves == 0 {
 		t.Fatal("a fault placement went uncovered")
 	}
 }
@@ -380,21 +391,25 @@ func TestSampleNoisyAllocsPerTrajectory(t *testing.T) {
 }
 
 // TestSampleFrameZeroAlloc: drawing a trajectory's shots into caller
-// buffers allocates nothing — sampleFrame, buildCDF and sampleCDFInto (the
-// shared-CDF path), searchCDF, and deposit on an executor whose idle qubits
-// make it rewrite every sample.
+// buffers allocates nothing — sampleFrame over a whole register and over a
+// half register (the mirrored CDF build, with and without the top frame
+// bit), buildCDF and sampleCDFInto (the shared-CDF path), searchCDF, and
+// deposit on an executor whose idle qubits make it rewrite every sample.
 func TestSampleFrameZeroAlloc(t *testing.T) {
 	ex := NewExecutor(idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1))
 	rng := rand.New(rand.NewSource(3))
 	amp := RandomState(len(ex.final), rng).Amp
 	cdf := make([]float64, len(amp))
 	out := make([]uint64, 256)
+	top := uint64(len(amp)) >> 1
 	allocs := testing.AllocsPerRun(20, func() {
 		sampleFrame(amp, cdf, 0b101, rng, out)
 		ex.deposit(out, 1<<2)
 		buildCDF(amp, cdf)
 		sampleCDFInto(cdf, rng, out)
 		ex.deposit(out, 0)
+		sampleFrame(amp[:top], cdf, 0b101, rng, out)
+		sampleFrame(amp[:top], cdf, top|0b11, rng, out)
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per run, want 0", allocs)

@@ -38,6 +38,9 @@ const (
 	opCNOT
 	opSwap
 	opDiag
+	// op1QTop is an op1Q on the top slot of an executor's half register
+	// (apply1QTop); only an Executor's program holds it.
+	op1QTop
 )
 
 // diagTerm is one multiplicative factor of a diagonal sweep. For a basis
@@ -359,6 +362,8 @@ func (p *Program) apply(s *State, from, to int) {
 		switch op.kind {
 		case op1Q:
 			s.Apply1Q(op.q0, op.m)
+		case op1QTop:
+			s.apply1QTop(op.m)
 		case opCNOT:
 			s.ApplyCNOT(op.q0, op.q1)
 		case opSwap:

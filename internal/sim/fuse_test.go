@@ -283,7 +283,8 @@ func ExampleProgram() {
 // allocates nothing. The two circuits reach apply, applyDiag, applyTerm1,
 // applyTerm2, Apply1Q on all three matrix shapes (apply1QReal,
 // apply1QCross and the generic loop), ApplyCNOT, ApplySwap, expand2 and
-// sortBits.
+// sortBits; an executor's run over its half register reaches apply1QTop
+// on all three shapes, register and mirror.
 func TestProgramRunOnZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -298,5 +299,19 @@ func TestProgramRunOnZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocations per run, want 0", tc.name, allocs)
 		}
+	}
+	// An executor's run over its half register: apply1QTop's three kernels,
+	// the folded 1-bit terms, and the mirror into the upper half.
+	ex := NewExecutor(halfKernelCircuit(10))
+	if !ex.half {
+		t.Fatal("halfKernelCircuit did not take the half register")
+	}
+	s := NewState(10)
+	allocs := testing.AllocsPerRun(20, func() {
+		ex.run(s, 0, len(ex.prog.ops))
+		mirror(s.Amp)
+	})
+	if allocs != 0 {
+		t.Errorf("half register: %.1f allocations per run, want 0", allocs)
 	}
 }

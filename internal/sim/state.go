@@ -124,6 +124,47 @@ func (s *State) apply1QCross(bit int, a, b, c, d float64) {
 	}
 }
 
+// apply1QTop applies m to the top qubit of a register of which s holds the
+// low half (top bit clear), for a register whose amplitudes are unchanged
+// when every bit flips: a[x] = a[x^(2^n−1)]. The top-bit partner of a
+// low-half index x is then the low-half index x^(len(s.Amp)−1), so the pass
+// pairs x with len(s.Amp)−1−x and computes both outputs with Apply1Q's "lo"
+// expression. m must have m00 == m11 and m01 == m10: then the full
+// register's "hi" output of the mirrored pair is the same sum in another
+// order, and the low half matches the full register's bit for bit.
+func (s *State) apply1QTop(m [2][2]complex128) {
+	h := len(s.Amp) >> 1
+	lo := s.Amp[:h]
+	hi := s.Amp[h : h+h][:len(lo)]
+	last := len(hi) - 1
+	switch {
+	case imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0:
+		m00, m01 := real(m[0][0]), real(m[0][1])
+		for k := range lo {
+			j := last - k
+			a0, a1 := lo[k], hi[j]
+			lo[k] = complex(m00*real(a0)+m01*real(a1), m00*imag(a0)+m01*imag(a1))
+			hi[j] = complex(m00*real(a1)+m01*real(a0), m00*imag(a1)+m01*imag(a0))
+		}
+	case imag(m[0][0]) == 0 && imag(m[1][1]) == 0 && real(m[0][1]) == 0 && real(m[1][0]) == 0:
+		a, b := real(m[0][0]), imag(m[0][1])
+		for k := range lo {
+			j := last - k
+			a0, a1 := lo[k], hi[j]
+			lo[k] = complex(a*real(a0)-b*imag(a1), a*imag(a0)+b*real(a1))
+			hi[j] = complex(a*real(a1)-b*imag(a0), a*imag(a1)+b*real(a0))
+		}
+	default:
+		m00, m01 := m[0][0], m[0][1]
+		for k := range lo {
+			j := last - k
+			a0, a1 := lo[k], hi[j]
+			lo[k] = m00*a0 + m01*a1
+			hi[j] = m00*a1 + m01*a0
+		}
+	}
+}
+
 // expand2 inserts zero bits at the two (distinct) bit positions given by
 // the masks loBit < hiBit, mapping a compact index k ∈ [0, 2^{n-2}) to the
 // unique basis index with both bits clear and the remaining bits of k in
@@ -237,19 +278,27 @@ func (s *State) ExpectationDiagonal(f func(x uint64) float64) float64 {
 	return e
 }
 
-// ExpectationTable returns Σ_x |⟨x|ψ⟩|² vals[x] for a precomputed diagonal
-// observable with small non-negative integer values (such as cut values) —
-// the table-lookup fast path of ExpectationDiagonal (same summation order,
-// so results are bit-identical for float64(vals[x]) == f(x)).
+// ExpectationTable returns Σ_x |⟨x|ψ⟩|² f(x) for a precomputed diagonal
+// observable f with small non-negative integer values that is unchanged
+// when every bit flips, such as a cut value: vals holds f on the low half
+// of the index range, and index x in the upper half reads
+// vals[x ^ (len(s.Amp)−1)]. It is the table-lookup fast path of
+// ExpectationDiagonal (same summation order, so results are bit-identical
+// for float64(vals[x]) == f(x)).
 func (s *State) ExpectationTable(vals []uint8) float64 {
-	if len(vals) < len(s.Amp) {
-		panic(fmt.Sprintf("sim: expectation table has %d entries, state needs %d", len(vals), len(s.Amp)))
+	h := len(s.Amp) >> 1
+	if len(vals) != h {
+		panic(fmt.Sprintf("sim: expectation table has %d entries, state needs %d", len(vals), h))
 	}
 	var e float64
-	for i, a := range s.Amp {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		if p > 0 {
+	for i, a := range s.Amp[:h] {
+		if p := real(a)*real(a) + imag(a)*imag(a); p > 0 {
 			e += p * float64(vals[i])
+		}
+	}
+	for i, a := range s.Amp[h:] {
+		if p := real(a)*real(a) + imag(a)*imag(a); p > 0 {
+			e += p * float64(vals[h-1-i])
 		}
 	}
 	return e
