@@ -202,11 +202,9 @@ func TestExecutorHalfRegisterFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkSampleNoisyCompiledIC measures one hybrid-loop evaluation's
-// noisy sampling: a 12-node 3-regular graph compiled with IC onto
-// melbourne at p=1, 1024 shots over 16 trajectories under melbourne noise,
-// through a fresh executor as the evaluator does.
-func BenchmarkSampleNoisyCompiledIC(b *testing.B) {
+// compiledIC compiles the hybrid loop's circuit: a 12-node 3-regular graph
+// with IC onto melbourne at p=1, and returns it with melbourne's noise.
+func compiledIC(b *testing.B) (*circuit.Circuit, *sim.NoiseModel) {
 	dev := device.Melbourne15()
 	prob, err := qaoa.NewMaxCut(graphs.MustRandomRegular(12, 3, rand.New(rand.NewSource(1))))
 	if err != nil {
@@ -217,9 +215,30 @@ func BenchmarkSampleNoisyCompiledIC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nm := sim.NoiseFromDevice(dev)
+	return res.Circuit, sim.NoiseFromDevice(dev)
+}
+
+// BenchmarkSampleNoisyCompiledIC measures one hybrid-loop evaluation's
+// noisy sampling: the compiledIC circuit, 1024 shots over 16 trajectories
+// under melbourne noise, through a fresh executor as the evaluator does.
+func BenchmarkSampleNoisyCompiledIC(b *testing.B) {
+	c, nm := compiledIC(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.SampleNoisy(res.Circuit, nm, 1024, 16, rand.New(rand.NewSource(5)))
+		sim.SampleNoisy(c, nm, 1024, 16, rand.New(rand.NewSource(5)))
+	}
+}
+
+// BenchmarkMeasureARGCompiledIC measures one ARG point as Fig. 11(b) takes
+// it: the compiledIC circuit through one fresh executor, 1024 ideal shots
+// and then 1024 noisy shots over 16 trajectories, so the trajectories
+// start from checkpoints the ideal run kept.
+func BenchmarkMeasureARGCompiledIC(b *testing.B) {
+	c, nm := compiledIC(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex := sim.NewExecutor(c)
+		ex.SampleIdeal(rand.New(rand.NewSource(5)), 1024)
+		ex.SampleNoisy(nm, 1024, 16, rand.New(rand.NewSource(5)))
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"math/cmplx"
 
 	"repro/internal/circuit"
@@ -23,13 +25,14 @@ import (
 //   - a diagonal gate D runs as is, and the frame's X bits on its qubits
 //     call for the diagonal correction (P·D·P)·D†. All diagonal ops commute,
 //     so corrections wait until the end of their stretch of consecutive
-//     diagonal ops and merge there into a few passes;
+//     diagonal ops and merge there into terms, applied in one pass when
+//     they share one factor (correct);
 //   - faults only update the frame. A fault on a qubit without a slot flips
 //     its classical bit, since that qubit is in a basis state.
 //
 // Only the ops the frame changes differ from the ideal program, so a
-// trajectory restarts from the rolling ideal prefix at its first changed op
-// and samples through its final X mask.
+// trajectory restarts from the ideal state at its first changed op (a
+// checkpoint) and samples through its final X mask.
 
 // walker carries one trajectory's Pauli frame through the executor's
 // program. x and z are bit masks over slots; cbits holds the bits faults
@@ -58,105 +61,209 @@ func (e *Executor) plan(p *trajPlan, corr []diagTerm) []diagTerm {
 	if len(p.faults) > 0 {
 		w.k = int(e.sites[p.faults[0].gate].op)
 	}
+	sc := replayScratch{corr: corr}
 	for w.k < n {
 		from := w
-		var changed bool
-		if changed, corr = e.segment(&w, p.faults, nil, corr); changed {
+		if changed, _ := e.segment(&w, p.faults, nil, &sc); changed {
 			from.pk = from.k
 			if e.prog.ops[from.k].kind == opDiag {
 				from.pk = w.k
 			}
 			p.w = from
-			return corr
+			return sc.corr
 		}
 	}
 	w.trailing(e, p.faults)
 	p.w = w
-	return corr
+	return sc.corr
+}
+
+// replayScratch is one replay worker's scratch: the state a trajectory
+// evolves, a CDF over it (cdfBuf), the correction terms and the count
+// table and factors of a one-pass correction (correct). src, when set, is
+// the trajectory's checkpoint, not yet copied into s. The buffers beside s
+// are made on first use, so scratch that only holds an ideal run carries
+// none.
+type replayScratch struct {
+	s    *State
+	src  []complex128
+	cdf  []float64
+	corr []diagTerm
+	cnt  []uint8
+	fac  *[256]complex128
+}
+
+// cdfBuf returns a CDF buffer as long as sc.s.
+func (sc *replayScratch) cdfBuf() []float64 {
+	if sc.cdf == nil {
+		sc.cdf = make([]float64, len(sc.s.Amp))
+	}
+	return sc.cdf
 }
 
 // walk carries w from its op to the end of the program, applying what the
-// trajectory runs to s, a register of every slot that holds the ideal ops
-// [0, w.pk); from hk on in half mode only its low half (register).
-func (e *Executor) walk(w *walker, faults []fault, s *State, corr []diagTerm) []diagTerm {
+// trajectory runs to sc.s, a register of every slot that holds the ideal
+// ops [0, w.pk) — or sc.src holds them, on the register of op w.pk (see
+// register) — and returns the amplitudes it swept. When w.pk closes the
+// walk's first diagonal stretch, that stretch copies the checkpoint and
+// corrects it in one pass.
+func (e *Executor) walk(w *walker, faults []fault, sc *replayScratch) int64 {
+	var amps int64
+	if sc.src != nil && e.prog.ops[w.k].kind != opDiag {
+		amps += int64(copy(e.register(sc.s, w.k).Amp, sc.src))
+		sc.src = nil
+	}
 	for w.k < len(e.prog.ops) {
-		r := e.register(s, w.k)
-		_, corr = e.segment(w, faults, &r, corr)
+		r := e.register(sc.s, w.k)
+		_, a := e.segment(w, faults, &r, sc)
+		amps += a
 	}
 	w.trailing(e, faults)
-	return corr
+	return amps
 }
 
 // segment carries w over the next segment of the program — a 1Q op, a
 // CNOT, or a stretch of consecutive diagonal ops — consuming the faults
-// placed in it. With s non-nil it applies to s, the register the segment
-// runs on, what the trajectory runs in place of the segment, skipping
-// ideal ops that s already holds. It reports whether that differs from the
-// ideal ops.
-func (e *Executor) segment(w *walker, faults []fault, s *State, corr []diagTerm) (bool, []diagTerm) {
+// placed in it, and reports whether the trajectory runs something other
+// than the ideal ops there. With s non-nil it applies what the trajectory
+// runs to s, the register the segment runs on, skipping ideal ops that s
+// (or sc.src) already holds, and returns the amplitudes it swept; a 1Q op
+// followed by a 1Q op on another slot of the register then runs with it
+// as one pass (apply1QPair), and w moves past both.
+func (e *Executor) segment(w *walker, faults []fault, s *State, sc *replayScratch) (bool, int64) {
 	ops := e.prog.ops
 	if op := &ops[w.k]; op.kind != opDiag {
-		w.swapFaults(e, faults)
-		src := e.srcGates(w.k)
-		last := int(src[len(src)-1])
-		changed := false
+		changed, from := false, w.k
 		switch op.kind {
 		case op1Q, op1QTop:
-			q := uint(op.q0)
-			var m [2][2]complex128
-			if w.faultInside(e, faults) && faults[w.fi].gate != last {
-				m = [2][2]complex128{{1, 0}, {0, 1}}
-				for _, gi := range src {
-					m = matMul(conj1Q(mat1Q(e.circ.Gates[gi]), w.x>>q&1 != 0, w.z>>q&1 != 0), m)
-					w.gateFaults(e, faults, int(gi))
-				}
-			} else {
-				m = conj1Q(op.m, w.x>>q&1 != 0, w.z>>q&1 != 0)
-				w.gateFaults(e, faults, last)
-			}
+			m := e.frame1Q(w, faults)
 			changed = m != op.m
 			switch {
 			case s == nil:
 			case op.kind == op1QTop:
 				s.apply1QTop(m)
+			case e.prog.pairs(w.k, e.stop(w.k)):
+				w.k++
+				s.apply1QPair(op.q0, m, ops[w.k].q0, e.frame1Q(w, faults))
 			default:
 				s.Apply1Q(op.q0, m)
 			}
 		case opCNOT:
+			w.swapFaults(e, faults)
 			if s != nil {
 				s.ApplyCNOT(op.q0, op.q1)
 			}
 			w.cnot(uint(op.q0), uint(op.q1))
-			w.gateFaults(e, faults, last)
+			w.gateFaults(e, faults, e.lastGate(w.k))
 		}
 		w.k++
-		return changed, corr
+		if s == nil {
+			return changed, 0
+		}
+		return changed, int64(w.k-from) * int64(len(s.Amp))
 	}
-	corr = corr[:0]
+	sc.corr = sc.corr[:0]
+	var amps int64
 	half := e.half && w.k >= e.hk
 	for ; w.k < len(ops) && ops[w.k].kind == opDiag; w.k++ {
 		w.swapFaults(e, faults)
 		if s != nil && w.k >= w.pk {
 			s.applyDiag(ops[w.k].global, ops[w.k].terms)
+			amps += int64(len(s.Amp))
 		}
 		if w.x == 0 && !w.faultInside(e, faults) {
 			continue
 		}
 		for _, gi := range e.srcGates(w.k) {
 			var added bool
-			if corr, added = addCorrection(corr, e.circ.Gates[gi], e.sites[gi].slot, w.x); added {
+			if sc.corr, added = addCorrection(sc.corr, e.circ.Gates[gi], e.sites[gi].slot, w.x); added {
 				w.corrGates++
 			}
 			w.gateFaults(e, faults, int(gi))
 		}
 	}
-	if s != nil && len(corr) > 0 {
+	changed := len(sc.corr) > 0
+	if s != nil && (changed || sc.src != nil) {
 		if half {
-			e.foldTerms(corr)
+			e.foldTerms(sc.corr)
 		}
-		s.applyDiag(1, corr)
+		src := s.Amp
+		if sc.src != nil {
+			src, sc.src = sc.src, nil
+		}
+		sc.correct(s.Amp, src)
+		amps += int64(len(s.Amp))
 	}
-	return len(corr) > 0, corr
+	return changed, amps
+}
+
+// frame1Q carries w over the faults of the swaps before op w.k, a 1Q op,
+// and over the op itself, and returns the matrix the trajectory runs in
+// its place: the op conjugated by the frame, or, when a fault lands
+// between two of its gates, the product of its gates, each conjugated by
+// the frame it meets.
+func (e *Executor) frame1Q(w *walker, faults []fault) [2][2]complex128 {
+	w.swapFaults(e, faults)
+	q := uint(e.prog.ops[w.k].q0)
+	last := e.lastGate(w.k)
+	if w.faultInside(e, faults) && faults[w.fi].gate != last {
+		m := [2][2]complex128{{1, 0}, {0, 1}}
+		for _, gi := range e.srcGates(w.k) {
+			m = matMul(conj1Q(mat1Q(e.circ.Gates[gi]), w.x>>q&1 != 0, w.z>>q&1 != 0), m)
+			w.gateFaults(e, faults, int(gi))
+		}
+		return m
+	}
+	m := conj1Q(e.prog.ops[w.k].m, w.x>>q&1 != 0, w.z>>q&1 != 0)
+	w.gateFaults(e, faults, last)
+	return m
+}
+
+// lastGate returns the last circuit gate op k covers.
+func (e *Executor) lastGate(k int) int { return int(e.opGates[e.opStart[k+1]-1]) }
+
+// correct sets dst to the corrections sc.corr applied to src (dst itself,
+// or a checkpoint of the same length). When every term multiplies by one
+// factor f where its bits have odd parity (a CPhase stretch of one angle),
+// the product at basis index x is f^c(x), with c(x) the number of terms x
+// cuts, and one pass writes dst[x] = src[x]·f^c(x) (countedCorrection).
+// Any other set of terms runs per term (applyDiag) after the copy.
+func (sc *replayScratch) correct(dst, src []complex128) {
+	f, ok := uniformParity(sc.corr)
+	if !ok {
+		if &dst[0] != &src[0] {
+			copy(dst, src)
+		}
+		(&State{Amp: dst}).applyDiag(1, sc.corr)
+		return
+	}
+	if sc.fac == nil {
+		sc.fac = new([256]complex128)
+	}
+	sc.fac[0] = 1
+	for c := 1; c <= len(sc.corr); c++ {
+		sc.fac[c] = sc.fac[c-1] * f
+	}
+	if cap(sc.cnt) < len(dst) {
+		sc.cnt = make([]uint8, len(dst))
+	}
+	countedCorrection(dst, src, sc.corr, sc.cnt[:len(dst)], sc.fac)
+}
+
+// uniformParity returns f when every term has fac = (1, f) and selects by
+// the parity of its mask (a one-bit term selects by that bit either way),
+// and there are at most 255, so that a count fits a byte.
+func uniformParity(terms []diagTerm) (complex128, bool) {
+	if len(terms) == 0 || len(terms) > math.MaxUint8 {
+		return 0, false
+	}
+	f := terms[0].fac[1]
+	for _, t := range terms {
+		if t.fac[0] != 1 || t.fac[1] != f || !t.parity && bits.OnesCount64(t.mask) != 1 {
+			return 0, false
+		}
+	}
+	return f, true
 }
 
 // cnot pushes the frame through a CNOT with control c and target t: X on

@@ -250,7 +250,7 @@ func frameState(ex *Executor, faults []fault) *State {
 	if ex.replays(p) {
 		s = NewState(len(ex.final))
 		ex.run(s, 0, p.w.pk)
-		ex.walk(&p.w, p.faults, s, nil)
+		ex.walk(&p.w, p.faults, &replayScratch{s: s})
 		if ex.half {
 			mirror(s.Amp)
 		}

@@ -297,6 +297,39 @@ func (s *State) applyDiag(global complex128, terms []diagTerm) {
 	}
 }
 
+// countedCorrection sets dst[x] = src[x]·fac[c(x)] in one pass, with c(x)
+// the number of terms whose mask bits x holds an odd number of (each term
+// has one or two, and there are at most 255). dst and src have the same
+// length and may be the same slice. The pass fills cnt[x] = c(x) as it
+// goes: x is the lower entry r = x − h plus its highest bit h, and setting
+// bit h adds every term on h (r holds none of their bits above h), less
+// twice those whose other bit r holds.
+func countedCorrection(dst, src []complex128, terms []diagTerm, cnt []uint8, fac *[256]complex128) {
+	var deg [MaxQubits]uint8
+	var nbr [MaxQubits]uint64
+	for _, t := range terms {
+		for m := t.mask; m != 0; m &= m - 1 {
+			deg[bits.TrailingZeros64(m)]++
+		}
+		b := bits.Len64(t.mask) - 1
+		nbr[b] |= t.mask &^ (1 << uint(b))
+	}
+	cnt[0] = 0
+	dst[0] = src[0] * fac[0]
+	for b := 0; 1<<uint(b) < len(dst); b++ {
+		h := 1 << uint(b)
+		d, nb := deg[b], nbr[b]
+		lo := cnt[:h]
+		hi, out, in := cnt[h : h<<1][:len(lo)], dst[h : h<<1][:len(lo)], src[h : h<<1][:len(lo)]
+		for r, c := range lo {
+			// uint8 arithmetic wraps, and the count it lands on is exact.
+			c += d - 2*uint8(bits.OnesCount64(nb&uint64(r)))
+			hi[r] = c
+			out[r] = in[r] * fac[c]
+		}
+	}
+}
+
 // applyTerm1 applies a single-bit diagonal term: fac[0] on the bit-clear
 // half, fac[1] on the bit-set half.
 func (s *State) applyTerm1(b int, f0, f1 complex128) {
@@ -354,14 +387,19 @@ func (s *State) applyTerm2(mask uint64, parity bool, f0, f1 complex128) {
 }
 
 // apply executes ops [from, to) of the program on s without touching the
-// counters — the building block shared by RunOn and the executor's rolling
-// ideal prefix.
+// counters — the building block shared by RunOn and the executor's ideal
+// run. Two consecutive op1Q ops on distinct qubits run as one pass.
 func (p *Program) apply(s *State, from, to int) {
 	for i := from; i < to; i++ {
 		op := &p.ops[i]
 		switch op.kind {
 		case op1Q:
-			s.Apply1Q(op.q0, op.m)
+			if p.pairs(i, to) {
+				i++
+				s.apply1QPair(op.q0, op.m, p.ops[i].q0, p.ops[i].m)
+			} else {
+				s.Apply1Q(op.q0, op.m)
+			}
 		case op1QTop:
 			s.apply1QTop(op.m)
 		case opCNOT:
@@ -374,9 +412,15 @@ func (p *Program) apply(s *State, from, to int) {
 	}
 }
 
+// pairs reports whether op i and op i+1 < to are op1Q ops on distinct
+// qubits, which apply1QPair runs as one pass.
+func (p *Program) pairs(i, to int) bool {
+	return i+1 < to && p.ops[i].kind == op1Q && p.ops[i+1].kind == op1Q && p.ops[i+1].q0 != p.ops[i].q0
+}
+
 // RunOn executes the program on s and returns s for chaining. Like
 // State.Run it batches the simulator counters once per call; sim/amp_ops
-// counts fused passes (ops × state length) — the work actually done.
+// counts ops × state length (see SetCollector).
 func (p *Program) RunOn(s *State) *State {
 	if p.n > s.N {
 		panic(fmt.Sprintf("sim: program needs %d qubits, state has %d", p.n, s.N))
