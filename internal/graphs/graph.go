@@ -10,6 +10,7 @@ package graphs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,9 +47,9 @@ func (e Edge) Other(v int) int {
 // graph with a fixed vertex count.
 type Graph struct {
 	n     int
-	adj   [][]int        // adjacency lists, kept sorted
-	edges []Edge         // canonical edge list in insertion order
-	index map[[2]int]int // canonical endpoints -> index into edges
+	adj   [][]int // adjacency lists, kept sorted
+	eid   [][]int // eid[v][i] indexes edges for the edge {v, adj[v][i]}
+	edges []Edge  // canonical edge list in insertion order
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -56,11 +57,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graphs: negative vertex count")
 	}
-	return &Graph{
-		n:     n,
-		adj:   make([][]int, n),
-		index: make(map[[2]int]int),
-	}
+	return &Graph{n: n, adj: make([][]int, n), eid: make([][]int, n)}
 }
 
 // Clone returns a deep copy of g.
@@ -91,19 +88,27 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // HasEdge reports whether an edge between u and v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u > v {
-		u, v = v, u
-	}
-	_, ok := g.index[[2]int{u, v}]
+	_, ok := g.edgeIndex(u, v)
 	return ok
+}
+
+// edgeIndex returns the index into edges of the edge between u and v. It
+// searches u's sorted adjacency list, so a graph carries no lookup map:
+// workloads keep many small graphs live.
+func (g *Graph) edgeIndex(u, v int) (int, bool) {
+	if u < 0 || u >= g.n {
+		return 0, false
+	}
+	a := g.adj[u]
+	if i := sort.SearchInts(a, v); i < len(a) && a[i] == v {
+		return g.eid[u][i], true
+	}
+	return 0, false
 }
 
 // EdgeWeight returns the weight of edge (u,v) and whether the edge exists.
 func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
-	if u > v {
-		u, v = v, u
-	}
-	i, ok := g.index[[2]int{u, v}]
+	i, ok := g.edgeIndex(u, v)
 	if !ok {
 		return 0, false
 	}
@@ -126,14 +131,12 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) error {
 	if u > v {
 		u, v = v, u
 	}
-	key := [2]int{u, v}
-	if _, dup := g.index[key]; dup {
+	if _, dup := g.edgeIndex(u, v); dup {
 		return fmt.Errorf("graphs: duplicate edge (%d,%d)", u, v)
 	}
-	g.index[key] = len(g.edges)
+	g.insert(u, v, len(g.edges))
+	g.insert(v, u, len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
-	g.adj[u] = insertSorted(g.adj[u], v)
-	g.adj[v] = insertSorted(g.adj[v], u)
 	return nil
 }
 
@@ -150,7 +153,7 @@ func (g *Graph) SetEdgeWeight(u, v int, w float64) error {
 	if u > v {
 		u, v = v, u
 	}
-	i, ok := g.index[[2]int{u, v}]
+	i, ok := g.edgeIndex(u, v)
 	if !ok {
 		return fmt.Errorf("graphs: no edge (%d,%d)", u, v)
 	}
@@ -227,13 +230,12 @@ func (g *Graph) String() string {
 
 func (g *Graph) m() int { return len(g.edges) }
 
-// insertSorted inserts x into sorted slice s keeping it sorted.
-func insertSorted(s []int, x int) []int {
-	i := sort.SearchInts(s, x)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
+// insert adds v to u's adjacency list, keeping it sorted, with the index
+// of their edge.
+func (g *Graph) insert(u, v, e int) {
+	i := sort.SearchInts(g.adj[u], v)
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	g.eid[u] = slices.Insert(g.eid[u], i, e)
 }
 
 // countCommon counts elements present in both sorted slices.

@@ -85,6 +85,7 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 // returns nil when the attempt dead-ends.
 func tryRegular(n, d int, rng *rand.Rand) *Graph {
 	g := New(n)
+	g.edges = make([]Edge, 0, n*d/2) // the graph it returns has this many
 	stubs := make([]int, 0, n*d)
 	for v := 0; v < n; v++ {
 		for k := 0; k < d; k++ {

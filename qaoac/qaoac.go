@@ -203,7 +203,7 @@ func Simulate(c *Circuit) *State { return sim.NewState(c.NQubits).Run(c) }
 // SampleIdeal draws shots noiseless measurement samples from c, simulating
 // one register slot per qubit state c carries (see sim.Executor).
 func SampleIdeal(c *Circuit, shots int, rng *rand.Rand) []uint64 {
-	return sim.NewExecutor(c).SampleIdeal(rng, shots)
+	return sim.SampleIdeal(c, rng, shots)
 }
 
 // SampleNoisy draws shots samples under the noise model, spread over the
