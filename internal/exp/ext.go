@@ -427,13 +427,15 @@ func ExtMitigation(ctx context.Context, cfg ExtMitigationConfig) (*Table, error)
 			return nil, err
 		}
 		srng := instanceRNG(cfg.Seed, i*10+5)
+		// Noise first: the executor's ideal run then serves every
+		// checkpoint on its way to the end (see exp.MeasureARG).
 		ex := sim.NewExecutor(res.Circuit)
-		r0, err := approxRatioPhysical(prob, res, ex.SampleIdeal(srng, cfg.Shots))
+		noisySamples := ex.SampleNoisy(nm, cfg.Shots, cfg.Trajectories, srng)
+		rhRaw, err := approxRatioPhysical(prob, res, noisySamples)
 		if err != nil {
 			return nil, err
 		}
-		noisySamples := ex.SampleNoisy(nm, cfg.Shots, cfg.Trajectories, srng)
-		rhRaw, err := approxRatioPhysical(prob, res, noisySamples)
+		r0, err := approxRatioPhysical(prob, res, ex.SampleIdeal(srng, cfg.Shots))
 		if err != nil {
 			return nil, err
 		}

@@ -200,20 +200,19 @@ func Fig11b(cfg Fig11bConfig) (*Table, error) {
 }
 
 // MeasureARG computes the paper's ARG metric for one compiled circuit:
-// the approximation ratio r0 from noiseless sampling of the compiled
-// circuit and rh from noisy sampling under nm, both with the same shot
+// the approximation ratio rh from noisy sampling under nm and r0 from
+// noiseless sampling of the compiled circuit, both with the same shot
 // budget, combined as 100·(r0−rh)/r0. One Executor serves both
-// measurements, so the noiseless run is executed once and its final state
-// is shared with every fault-free noisy trajectory.
+// measurements. Noise is sampled first, so the executor's one ideal run
+// serves every trajectory's checkpoint on its way to the end, and the
+// noiseless samples then draw from the final state it reached.
 func MeasureARG(prob *qaoa.Problem, res *compile.Result, nm *sim.NoiseModel, shots, trajectories int, rng *rand.Rand) (float64, error) {
 	ex := sim.NewExecutor(res.Circuit)
-	idealSamples := ex.SampleIdeal(rng, shots)
-	r0, err := approxRatioPhysical(prob, res, idealSamples)
+	rh, err := approxRatioPhysical(prob, res, ex.SampleNoisy(nm, shots, trajectories, rng))
 	if err != nil {
 		return 0, err
 	}
-	noisySamples := ex.SampleNoisy(nm, shots, trajectories, rng)
-	rh, err := approxRatioPhysical(prob, res, noisySamples)
+	r0, err := approxRatioPhysical(prob, res, ex.SampleIdeal(rng, shots))
 	if err != nil {
 		return 0, err
 	}

@@ -25,7 +25,8 @@ import (
 //     op: trajectories are grouped by that op, and the executor's one ideal
 //     run (which Ideal() also finishes) advances monotonically through the
 //     program and serves each group in turn, so each ideal op is applied
-//     once per executor no matter how many trajectories branch off it;
+//     once per executor no matter how many trajectories branch off it —
+//     unless the run has already passed a checkpoint (see Executor);
 //   - each trajectory owns a private RNG substream derived from one draw of
 //     the caller's generator (splitmix64 over the trajectory index), so
 //     trajectories fan out across cores with results that are byte-identical
@@ -106,12 +107,13 @@ func putScratch(sc *replayScratch) {
 
 // Executor caches the fused program, the ideal final state and its sampling
 // CDF for one circuit, so repeated ideal and noisy sampling of the same
-// compiled circuit (the ARG measurement pattern: one noiseless run, many
-// noisy trajectories) shares a single ideal execution: one run that only
-// moves forward, from which Ideal() and the trajectories' checkpoints both
-// read (roll), so each ideal op runs once per executor whichever of
-// SampleIdeal and SampleNoisy comes first. Not safe for concurrent use;
-// the parallelism lives inside SampleNoisy.
+// compiled circuit (the ARG measurement pattern: many noisy trajectories,
+// one noiseless run) shares a single ideal execution: one run that only
+// moves forward (roll), from which the trajectories' checkpoints and then
+// Ideal() both read. Sampled noise first, as exp.MeasureARG does, each
+// ideal op runs once per executor. A SampleNoisy after the run has passed
+// a checkpoint rebuilds it in scratch from |0…0⟩. Not safe for concurrent
+// use; the parallelism lives inside SampleNoisy.
 //
 // The executor simulates a register of slots, one per qubit that carries
 // state, rather than the circuit's whole register. A physical qubit gets a
@@ -158,35 +160,11 @@ type Executor struct {
 	half bool
 	// roll is the ideal run: it holds the ideal ops [0, rk), only moves
 	// forward, and is the ideal state once it reaches the end.
-	roll *State
-	rk   int
-	// kept holds copies of roll at the ends of the diagonal stretches that
-	// Ideal() carried it past short of the end, where most trajectories
-	// start (see plan), for SampleNoisy calls that follow.
-	kept     []checkpoint
+	roll     *State
+	rk       int
 	ideal    *State
 	idealCDF []float64
 }
-
-// checkpoint is the ideal state after ops [0, k), on the register op k
-// runs on (register).
-type checkpoint struct {
-	k   int
-	amp []complex128
-}
-
-// maxKeptAmps bounds the register whose checkpoints Ideal() keeps, at a
-// MiB a copy. A copy costs one pass over the register, and its memory
-// until the executor dies. Measured on a 2-vCPU VM with the 12-node IC
-// circuit (a half register of 2^11 amplitudes): serving the trajectories of
-// the Fig. 11(b) pattern (Ideal() first, then SampleNoisy) from the copies
-// instead of a prefix rebuilt from |0…0⟩ raised perfbench fig11b-arg ops/s
-// by 7% (6 of 6 alternating 10 s pairs); an executor that only samples the
-// ideal state allocates 33 KiB more per op at p=1 and 99 KiB at p=3 for
-// them, in times that did not differ beyond run-to-run noise, and
-// sim.SampleIdeal keeps none. Above the bound a SampleNoisy after Ideal()
-// carries its checkpoints forward from |0…0⟩.
-const maxKeptAmps = 1 << 16
 
 // faultSite places the faults drawn after one circuit gate in the
 // executor's program: inside op, after the gate, or for a swap, before op
@@ -416,46 +394,14 @@ func (e *Executor) stop(k int) int {
 }
 
 // advance carries the ideal run on to op `to` and returns the amplitudes
-// its ops swept. With keep set it keeps a copy of the run at every stretch
-// end it passes (see keeps), for trajectories that later need it.
-func (e *Executor) advance(to int, keep bool) int64 {
+// its ops swept.
+func (e *Executor) advance(to int) int64 {
 	if e.roll == nil {
 		e.roll = NewState(len(e.final))
 	}
-	var amps int64
-	for e.rk < to {
-		k := e.rk + 1
-		for k < to && !(keep && e.keeps(k)) {
-			k++
-		}
-		amps += e.run(e.roll, e.rk, k)
-		e.rk = k
-		if keep && e.keeps(k) {
-			r := e.register(e.roll, k).Amp
-			e.kept = append(e.kept, checkpoint{k, append([]complex128(nil), r...)})
-		}
-	}
+	amps := e.run(e.roll, e.rk, to)
+	e.rk = to
 	return amps
-}
-
-// keeps reports whether the ideal run keeps a copy of itself at op k: the
-// end of a diagonal stretch short of the end of the program, on a register
-// of at most maxKeptAmps.
-func (e *Executor) keeps(k int) bool {
-	ops := e.prog.ops
-	return k > 0 && k < len(ops) && ops[k-1].kind == opDiag && ops[k].kind != opDiag &&
-		len(e.register(e.roll, k).Amp) <= maxKeptAmps
-}
-
-// keptBefore returns the last kept copy at or before op k, or nil.
-func (e *Executor) keptBefore(k int) *checkpoint {
-	var last *checkpoint
-	for i := range e.kept {
-		if e.kept[i].k <= k {
-			last = &e.kept[i]
-		}
-	}
-	return last
 }
 
 // mirror fills the upper half of a symmetric register from its low half:
@@ -535,32 +481,35 @@ func slotLayout(c *circuit.Circuit, every bool) (start, final []int, ok bool) {
 }
 
 // Ideal returns the shared noiseless final state over the slot register
-// (slot i ends on the i-th lowest physical qubit of the layout), computing
-// it on first use by carrying the ideal run to the end and keeping copies
-// of it on the way (keeps) for a SampleNoisy that may follow. Callers must
-// treat it as read-only.
-func (e *Executor) Ideal() *State { return e.finishIdeal(true) }
-
-// finishIdeal carries the ideal run to the end, keeping copies of it on the
-// way with keep set, unless it is there already, and returns the ideal
-// state.
-func (e *Executor) finishIdeal(keep bool) *State {
+// (slot i ends on the i-th lowest physical qubit of the layout), carrying
+// the ideal run to the end on first use. Callers must treat it as
+// read-only.
+func (e *Executor) Ideal() *State {
 	if e.ideal == nil {
-		col := Collector()
-		sp := col.StartSpan(obsv.SpanSimIdealRun)
+		sp := Collector().StartSpan(obsv.SpanSimIdealRun)
+		e.finish()
+		sp.End()
+	}
+	return e.ideal
+}
+
+// finish carries the ideal run to the end, unless it is there already, and
+// returns the ideal state. The caller times it: sim/ideal_run for Ideal(),
+// sim/sample_noisy for the tail SampleNoisy finishes.
+func (e *Executor) finish() *State {
+	if e.ideal == nil {
 		from := e.rk
-		amps := e.advance(len(e.prog.ops), keep)
+		amps := e.advance(len(e.prog.ops))
 		if e.half {
 			mirror(e.roll.Amp)
 		}
 		e.ideal = e.roll
-		if col.Enabled() {
+		if col := Collector(); col.Enabled() {
 			col.Inc(obsv.CntSimRuns)
 			col.Add(obsv.CntSimGates, int64(e.prog.gates))
 			col.Add(obsv.CntSimFusedOps, int64(e.rk-from))
 			col.Add(obsv.CntSimAmpOps, amps)
 		}
-		sp.End()
 	}
 	return e.ideal
 }
@@ -585,12 +534,9 @@ func (e *Executor) SampleIdeal(rng *rand.Rand, shots int) []uint64 {
 }
 
 // SampleIdeal draws shots noiseless samples from c. It is the one-shot form
-// of Executor.SampleIdeal: no SampleNoisy follows, so the ideal run keeps
-// no checkpoint copies.
+// of Executor.SampleIdeal.
 func SampleIdeal(c *circuit.Circuit, rng *rand.Rand, shots int) []uint64 {
-	e := NewExecutor(c)
-	e.finishIdeal(false)
-	return e.SampleIdeal(rng, shots)
+	return NewExecutor(c).SampleIdeal(rng, shots)
 }
 
 // deposit rewrites slot-register sample indices in place as physical basis
@@ -727,17 +673,13 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 		}
 	}
 
-	var replayGates, replayAmps int64
-	rolled := e.rk
+	var replayGates, replayAmps, idealOps int64
 	if len(faulty) > 0 {
-		replayGates, replayAmps = e.replayFaulty(faulty, nm)
+		replayGates, replayAmps, idealOps = e.replayFaulty(faulty, nm)
 	}
-	rolled = e.rk - rolled
 
 	if len(idle) > 0 {
-		// The trajectories that needed checkpoints have run, so the ideal
-		// run keeps no copies on its way to the end.
-		ideal := e.finishIdeal(false)
+		ideal := e.finish()
 		cdf := e.idealCDFBuf()
 		forEachPlan(idle, func(p *trajPlan) {
 			if p.w.x == 0 {
@@ -759,7 +701,7 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 		col.Add(obsv.CntSimReplays, int64(len(faulty)))
 		col.Add(obsv.CntSimCheckpoints, int64(len(faulty)))
 		col.Add(obsv.CntSimReplayGates, replayGates)
-		col.Add(obsv.CntSimFusedOps, int64(rolled))
+		col.Add(obsv.CntSimFusedOps, idealOps)
 		col.Add(obsv.CntSimAmpOps, replayAmps)
 	}
 	return out
@@ -771,14 +713,15 @@ func (e *Executor) replays(p *trajPlan) bool { return p.w.k < len(e.prog.ops) }
 
 // replayFaulty runs the replayed trajectories grouped by checkpoint, in
 // checkpoint order, so that every state it carries forward only moves
-// forward. For each group a serial step finds the checkpoint (source): a
-// kept copy, the ideal run carried on to it, or, when the run has already
-// passed it, prefix, scratch carried on from the last kept copy before it.
-// The group then runs in waves of GOMAXPROCS, each trajectory copying the
-// checkpoint into its worker's state, carrying its frame to the end,
-// sampling and applying readout noise. Returns the circuit gates and the
-// amplitudes the ideal run, the prefix and the replays covered.
-func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (gates, amps int64) {
+// forward. For each group a serial step finds the checkpoint (source): the
+// ideal run carried on to it or, when the run has already passed it,
+// prefix, scratch carried on from |0…0⟩. The group then runs in waves of
+// GOMAXPROCS, each trajectory copying the checkpoint into its worker's
+// state, carrying its frame to the end, sampling and applying readout
+// noise. Returns the circuit gates and the amplitudes the ideal run, the
+// prefix and the replays covered, and the ideal ops the run and the prefix
+// applied.
+func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (gates, amps, ops int64) {
 	sort.SliceStable(faulty, func(i, j int) bool { return faulty[i].w.pk < faulty[j].w.pk })
 	workers := min(runtime.GOMAXPROCS(0), len(faulty))
 	n := len(e.final)
@@ -788,7 +731,7 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (gates, amps
 		defer putScratch(scs[w])
 	}
 	var prefix *replayScratch
-	pk := -1 // the ops prefix holds
+	pk := 0 // the ops prefix holds
 	defer func() {
 		if prefix != nil {
 			putScratch(prefix)
@@ -802,29 +745,19 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (gates, amps
 		group := faulty[:end]
 		faulty = faulty[end:]
 		var src []complex128
-		c := e.keptBefore(k)
-		switch {
-		case k >= e.rk:
+		if k >= e.rk {
 			gates += int64(e.opStart[k] - e.opStart[e.rk])
-			amps += e.advance(k, false)
+			ops += int64(k - e.rk)
+			amps += e.advance(k)
 			src = e.register(e.roll, k).Amp
-		case c != nil && c.k == k:
-			src = c.amp
-		default:
+		} else {
 			if prefix == nil {
 				prefix = getScratch(n)
-			}
-			from := pk
-			if c != nil && c.k > from {
-				from = c.k
-				amps += int64(copy(e.register(prefix.s, c.k).Amp, c.amp))
-			}
-			if from < 0 {
 				prefix.s.Reset()
-				from = 0
 			}
-			gates += int64(e.opStart[k] - e.opStart[from])
-			amps += e.run(prefix.s, from, k)
+			gates += int64(e.opStart[k] - e.opStart[pk])
+			ops += int64(k - pk)
+			amps += e.run(prefix.s, pk, k)
 			pk = k
 			src = e.register(prefix.s, k).Amp
 		}
@@ -851,7 +784,7 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (gates, amps
 			amps += p.amps
 		}
 	}
-	return gates, amps
+	return gates, amps, ops
 }
 
 // finishTrajectory carries the trajectory's frame from its checkpoint to

@@ -221,24 +221,28 @@ func compiledIC(b *testing.B) (*circuit.Circuit, *sim.NoiseModel) {
 // BenchmarkSampleNoisyCompiledIC measures one hybrid-loop evaluation's
 // noisy sampling: the compiledIC circuit, 1024 shots over 16 trajectories
 // under melbourne noise, through a fresh executor as the evaluator does.
+// Iteration i seeds its draws with i, so, as in the loop, the fault plans
+// change from one evaluation to the next.
 func BenchmarkSampleNoisyCompiledIC(b *testing.B) {
 	c, nm := compiledIC(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.SampleNoisy(c, nm, 1024, 16, rand.New(rand.NewSource(5)))
+		sim.SampleNoisy(c, nm, 1024, 16, rand.New(rand.NewSource(int64(i))))
 	}
 }
 
 // BenchmarkMeasureARGCompiledIC measures one ARG point as Fig. 11(b) takes
-// it: the compiledIC circuit through one fresh executor, 1024 ideal shots
-// and then 1024 noisy shots over 16 trajectories, so the trajectories
-// start from checkpoints the ideal run kept.
+// it: the compiledIC circuit through one fresh executor, 1024 noisy shots
+// over 16 trajectories and then 1024 ideal shots, so the ideal run serves
+// every checkpoint on its way to the end. Iteration i seeds its draws
+// with i.
 func BenchmarkMeasureARGCompiledIC(b *testing.B) {
 	c, nm := compiledIC(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
 		ex := sim.NewExecutor(c)
-		ex.SampleIdeal(rand.New(rand.NewSource(5)), 1024)
-		ex.SampleNoisy(nm, 1024, 16, rand.New(rand.NewSource(5)))
+		ex.SampleNoisy(nm, 1024, 16, rng)
+		ex.SampleIdeal(rng, 1024)
 	}
 }

@@ -16,7 +16,8 @@ var simObs atomic.Pointer[obsv.Collector]
 
 // SetCollector installs (or, with nil, removes) the collector that receives
 // the simulator counters: sim/runs, sim/gates, sim/fused_ops (the ops of
-// RunOn calls and of executors' ideal runs), sim/amp_ops, sim/noisy_shots,
+// RunOn calls and of executors' ideal runs, counted again where a prefix
+// reruns them for checkpoints the run has passed), sim/amp_ops, sim/noisy_shots,
 // sim/trajectories and the replay counters. sim/amp_ops is the work
 // measure: every fused op applied counts the length of the register it
 // runs on, paired with the next op in one pass or not — in RunOn, an

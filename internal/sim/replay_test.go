@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -23,8 +24,8 @@ func sameBits(a, b []complex128) int {
 }
 
 // pairMatrices are the matrix pairs the pair kernel must handle: both real,
-// both cross (an RX and a Z-conjugated RX, as frames make them), both
-// general, and two different shapes, which run as two passes.
+// both cross (an RX and a Z-conjugated RX, as frames make them), and both
+// general or of two different shapes, which run as two passes.
 var pairMatrices = []struct {
 	name   string
 	m0, m1 [2][2]complex128
@@ -283,46 +284,60 @@ func TestReplayKernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIdealRunOncePerExecutor: whichever of SampleIdeal and SampleNoisy
-// comes first, at p=1 and p=3, the executor's one ideal run applies each
-// ideal op once (sim/fused_ops counts the run's ops), Ideal() is bit for
-// bit the full-register run, and both orders draw the same samples. When
-// Ideal() comes first it keeps the run at each cost stretch's end, where
-// SampleNoisy's trajectories then start; when SampleNoisy finishes the run
-// it keeps none, and the one-shot SampleIdeal draws the same samples.
+// TestIdealRunOncePerExecutor: at p=1 and p=3, when SampleNoisy comes
+// first (the ARG pattern) the executor's one ideal run serves every
+// checkpoint on its way to the end, so each ideal op runs exactly once
+// (sim/fused_ops counts every ideal op, prefix reruns included) and the
+// tail it finishes for the idle trajectories is timed under
+// sim/sample_noisy, not sim/ideal_run. When Ideal() comes first the
+// checkpoints it passed are rebuilt, so more ops run. Either way Ideal() is
+// bit for bit the full-register run, both orders draw the same samples,
+// and so does the one-shot SampleIdeal.
 func TestIdealRunOncePerExecutor(t *testing.T) {
 	nm := &NoiseModel{OneQubit: 0.01, TwoQubitDefault: 0.03}
 	for _, p := range []int{1, 3} {
 		c := mixerOrderCircuit(8, p, []int{2, 6, 0, 7, 3, 1, 5, 4})
 		want := NewState(8).Run(c)
 		var samples [2][2][]uint64
-		for order := 0; order < 2; order++ {
+		for order, noiseFirst := range []bool{true, false} {
 			col := obsv.New()
 			SetCollector(col)
 			ex := NewExecutor(c)
 			var ideal, noisy []uint64
-			if order == 0 {
-				ideal = ex.SampleIdeal(rand.New(rand.NewSource(3)), 512)
+			if noiseFirst {
 				noisy = ex.SampleNoisy(nm, 512, 32, rand.New(rand.NewSource(4)))
-				if len(ex.kept) != p {
-					t.Errorf("p=%d: Ideal() kept %d checkpoints, want one per cost stretch", p, len(ex.kept))
-				}
+				ideal = ex.SampleIdeal(rand.New(rand.NewSource(3)), 512)
 			} else {
-				noisy = ex.SampleNoisy(nm, 512, 32, rand.New(rand.NewSource(4)))
-				if len(ex.kept) != 0 {
-					t.Errorf("p=%d: SampleNoisy kept %d checkpoints on its way to the end, want none", p, len(ex.kept))
-				}
 				ideal = ex.SampleIdeal(rand.New(rand.NewSource(3)), 512)
+				noisy = ex.SampleNoisy(nm, 512, 32, rand.New(rand.NewSource(4)))
 			}
 			SetCollector(nil)
 			samples[order] = [2][]uint64{ideal, noisy}
-			cnt := col.Snapshot().Counters
-			if got := cnt[obsv.CntSimFusedOps]; got != int64(len(ex.prog.ops)) {
-				t.Errorf("p=%d order %d: the ideal run applied %d ops, the program has %d", p, order, got, len(ex.prog.ops))
+			snap := col.Snapshot()
+			cnt := snap.Counters
+			ops := int64(len(ex.prog.ops))
+			switch got := cnt[obsv.CntSimFusedOps]; {
+			case noiseFirst && got != ops:
+				t.Errorf("p=%d noise first: %d ideal ops ran, the program has %d", p, got, ops)
+			case !noiseFirst && got <= ops:
+				t.Errorf("p=%d ideal first: %d ideal ops ran, want more than the program's %d", p, got, ops)
 			}
 			if cnt[obsv.CntSimReplays] == 0 || cnt[obsv.CntSimIdealReuses] == 0 {
 				t.Fatalf("p=%d order %d: %d replays and %d ideal reuses; the test needs both",
 					p, order, cnt[obsv.CntSimReplays], cnt[obsv.CntSimIdealReuses])
+			}
+			var idealRuns int64
+			for _, sp := range snap.Spans {
+				if sp.Name == obsv.SpanSimIdealRun {
+					idealRuns = sp.Count
+				}
+			}
+			wantRuns := int64(1)
+			if noiseFirst {
+				wantRuns = 0
+			}
+			if idealRuns != wantRuns {
+				t.Errorf("p=%d order %d: %d sim/ideal_run spans, want %d", p, order, idealRuns, wantRuns)
 			}
 			for i, a := range ex.Ideal().Amp {
 				if a != want.Amp[i] {
@@ -369,24 +384,37 @@ func TestAmpOpsCountsReplays(t *testing.T) {
 
 // TestReusedExecutorMatchesNaive: an executor sampled again after its
 // ideal run has passed the checkpoints — once Ideal() has run, or after a
-// first SampleNoisy — serves them from kept copies and from scratch
-// carried forward from a kept copy or from |0…0⟩, and its samples still
-// equal the gate-by-gate oracle's byte for byte.
+// first SampleNoisy — rebuilds them in scratch from |0…0⟩, and a second
+// SampleNoisy still equals the gate-by-gate oracle byte for byte, on
+// MaxCut-shaped circuits on the half register at p=1 and p=3 and on a
+// circuit that falls back to the full register.
 func TestReusedExecutorMatchesNaive(t *testing.T) {
 	nm := &NoiseModel{OneQubit: 0.05, TwoQubitDefault: 0.1, Readout: []float64{0.02, 0.01}}
-	for _, c := range []*circuit.Circuit{
-		mixerOrderCircuit(6, 3, []int{0, 5, 1, 4, 2, 3}),
-		noisyTestCircuit(5, 2, 4),
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+		half bool
+	}{
+		{"maxcut p=1", mixerOrderCircuit(6, 1, []int{0, 5, 1, 4, 2, 3}), true},
+		{"maxcut p=3", mixerOrderCircuit(6, 3, []int{0, 5, 1, 4, 2, 3}), true},
+		{"full-register fallback", noisyTestCircuit(5, 2, 4), false},
 	} {
+		if got := NewExecutor(tc.c).half; got != tc.half {
+			t.Fatalf("%s: half register %v, want %v", tc.name, got, tc.half)
+		}
 		for _, idealFirst := range []bool{true, false} {
-			ex := NewExecutor(c)
+			ex := NewExecutor(tc.c)
 			if idealFirst {
 				ex.Ideal()
+			} else {
+				want := naiveSampleNoisy(tc.c, nm, 128, 32, rand.New(rand.NewSource(99)))
+				got := ex.SampleNoisy(nm, 128, 32, rand.New(rand.NewSource(99)))
+				assertSamplesEqual(t, tc.name+" first call", got, want)
 			}
 			for seed := int64(0); seed < 4; seed++ {
-				want := naiveSampleNoisy(c, nm, 128, 32, rand.New(rand.NewSource(seed)))
+				want := naiveSampleNoisy(tc.c, nm, 128, 32, rand.New(rand.NewSource(seed)))
 				got := ex.SampleNoisy(nm, 128, 32, rand.New(rand.NewSource(seed)))
-				assertSamplesEqual(t, "reused executor", got, want)
+				assertSamplesEqual(t, fmt.Sprintf("%s ideal first %v seed %d", tc.name, idealFirst, seed), got, want)
 			}
 		}
 	}

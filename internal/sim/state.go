@@ -187,23 +187,18 @@ func (s *State) apply1QGeneral(bit int, m [2][2]complex128) {
 // the two qubits' bits) is loaded once, goes through m0's kernel on its two
 // b0-pairs and then m1's on its two b1-pairs, and is stored once: every
 // output is the expression two Apply1Q calls compute, in their order, so
-// the result is bit-identical. Matrices of two different shapes run as two
-// Apply1Q passes.
+// the result is bit-identical. Matrices of two different shapes, or of
+// the general shape, run as two Apply1Q passes.
 func (s *State) apply1QPair(q0 int, m0 [2][2]complex128, q1 int, m1 [2][2]complex128) {
-	sh := shapeOf(m0)
-	if shapeOf(m1) != sh {
+	b0, b1 := 1<<uint(q0), 1<<uint(q1)
+	switch sh := shapeOf(m0); {
+	case shapeOf(m1) != sh || sh == shapeGeneral:
 		s.Apply1Q(q0, m0)
 		s.Apply1Q(q1, m1)
-		return
-	}
-	b0, b1 := 1<<uint(q0), 1<<uint(q1)
-	switch sh {
-	case shapeReal:
+	case sh == shapeReal:
 		pairReal(s.Amp, b0, b1, realOf(m0), realOf(m1))
-	case shapeCross:
-		pairCross(s.Amp, b0, b1, crossOf(m0), crossOf(m1))
 	default:
-		pairGeneral(s.Amp, b0, b1, m0, m1)
+		pairCross(s.Amp, b0, b1, crossOf(m0), crossOf(m1))
 	}
 }
 
@@ -218,20 +213,6 @@ func pairReal(amp []complex128, b0, b1 int, k, l realMat) {
 		x2, x3 = k.mix(x2, x3)
 		x0, x2 = l.mix(x0, x2)
 		x1, x3 = l.mix(x1, x3)
-		amp[i], amp[i|b0], amp[i|b1], amp[i|both] = x0, x1, x2, x3
-	}
-}
-
-func pairGeneral(amp []complex128, b0, b1 int, m, l [2][2]complex128) {
-	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
-	l00, l01, l10, l11 := l[0][0], l[0][1], l[1][0], l[1][1]
-	both := b0 | b1
-	for i := 0; i < len(amp); i = ((i | both) + 1) &^ both {
-		x0, x1, x2, x3 := amp[i], amp[i|b0], amp[i|b1], amp[i|both]
-		x0, x1 = m00*x0+m01*x1, m10*x0+m11*x1
-		x2, x3 = m00*x2+m01*x3, m10*x2+m11*x3
-		x0, x2 = l00*x0+l01*x2, l10*x0+l11*x2
-		x1, x3 = l00*x1+l01*x3, l10*x1+l11*x3
 		amp[i], amp[i|b0], amp[i|b1], amp[i|both] = x0, x1, x2, x3
 	}
 }
