@@ -106,14 +106,17 @@ func run(nodes, degree int, method string, shots, traj int, seed int64, mitigate
 		}
 		return xs
 	}
-	ideal := extract(qaoac.SampleIdeal(res.Circuit, shots, rng))
-	r0, err := qaoac.ApproximationRatio(prob, ideal)
+	// One executor serves both sample sets. Noise goes first, so its ideal
+	// run reaches every trajectory's checkpoint on its way to the end.
+	ex := qaoac.NewExecutor(res.Circuit)
+	noisyPhysical := ex.SampleNoisy(qaoac.NoiseFromDevice(dev), shots, traj, rng)
+	noisy := extract(noisyPhysical)
+	rh, err := qaoac.ApproximationRatio(prob, noisy)
 	if err != nil {
 		return err
 	}
-	noisyPhysical := qaoac.SampleNoisy(res.Circuit, qaoac.NoiseFromDevice(dev), shots, traj, rng)
-	noisy := extract(noisyPhysical)
-	rh, err := qaoac.ApproximationRatio(prob, noisy)
+	ideal := extract(ex.SampleIdeal(rng, shots))
+	r0, err := qaoac.ApproximationRatio(prob, ideal)
 	if err != nil {
 		return err
 	}

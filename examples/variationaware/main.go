@@ -46,8 +46,11 @@ func main() {
 				panic(err)
 			}
 			sampleRNG := rand.New(rand.NewSource(int64(inst)*7 + 3))
-			r0 := ratio(prob, res, qaoac.SampleIdeal(res.Circuit, shots, sampleRNG))
-			rh := ratio(prob, res, qaoac.SampleNoisy(res.Circuit, nm, shots, traj, sampleRNG))
+			// One executor for both: noise first, so its one ideal run
+			// serves the noisy trajectories and then the noiseless shots.
+			ex := qaoac.NewExecutor(res.Circuit)
+			rh := ratio(prob, res, ex.SampleNoisy(nm, shots, traj, sampleRNG))
+			r0 := ratio(prob, res, ex.SampleIdeal(sampleRNG, shots))
 			fmt.Printf("%-6d %-6s  %10.6f  %10d  %8.4f  %8.2f\n",
 				inst, preset, dev.SuccessProbability(res.Native), res.GateCount, r0, qaoac.ARG(r0, rh))
 		}

@@ -48,7 +48,6 @@ func (e Edge) Other(v int) int {
 type Graph struct {
 	n     int
 	adj   [][]int // adjacency lists, kept sorted
-	eid   [][]int // eid[v][i] indexes edges for the edge {v, adj[v][i]}
 	edges []Edge  // canonical edge list in insertion order
 }
 
@@ -57,7 +56,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graphs: negative vertex count")
 	}
-	return &Graph{n: n, adj: make([][]int, n), eid: make([][]int, n)}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // Clone returns a deep copy of g.
@@ -86,22 +85,29 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// HasEdge reports whether an edge between u and v exists.
+// HasEdge reports whether an edge between u and v exists. It searches u's
+// sorted adjacency list, so a graph carries no lookup index: workloads keep
+// many small graphs live.
 func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.edgeIndex(u, v)
-	return ok
+	if u < 0 || u >= g.n {
+		return false
+	}
+	a := g.adj[u]
+	i := sort.SearchInts(a, v)
+	return i < len(a) && a[i] == v
 }
 
 // edgeIndex returns the index into edges of the edge between u and v. It
-// searches u's sorted adjacency list, so a graph carries no lookup map:
-// workloads keep many small graphs live.
+// scans the edge list: its callers, the weight accessors, are off every
+// hot path.
 func (g *Graph) edgeIndex(u, v int) (int, bool) {
-	if u < 0 || u >= g.n {
-		return 0, false
+	if u > v {
+		u, v = v, u
 	}
-	a := g.adj[u]
-	if i := sort.SearchInts(a, v); i < len(a) && a[i] == v {
-		return g.eid[u][i], true
+	for i, e := range g.edges {
+		if e.U == u && e.V == v {
+			return i, true
+		}
 	}
 	return 0, false
 }
@@ -131,11 +137,11 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) error {
 	if u > v {
 		u, v = v, u
 	}
-	if _, dup := g.edgeIndex(u, v); dup {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("graphs: duplicate edge (%d,%d)", u, v)
 	}
-	g.insert(u, v, len(g.edges))
-	g.insert(v, u, len(g.edges))
+	g.insert(u, v)
+	g.insert(v, u)
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 	return nil
 }
@@ -150,9 +156,6 @@ func (g *Graph) MustAddEdge(u, v int) {
 
 // SetEdgeWeight updates the weight of an existing edge.
 func (g *Graph) SetEdgeWeight(u, v int, w float64) error {
-	if u > v {
-		u, v = v, u
-	}
 	i, ok := g.edgeIndex(u, v)
 	if !ok {
 		return fmt.Errorf("graphs: no edge (%d,%d)", u, v)
@@ -230,12 +233,10 @@ func (g *Graph) String() string {
 
 func (g *Graph) m() int { return len(g.edges) }
 
-// insert adds v to u's adjacency list, keeping it sorted, with the index
-// of their edge.
-func (g *Graph) insert(u, v, e int) {
+// insert adds v to u's adjacency list, keeping it sorted.
+func (g *Graph) insert(u, v int) {
 	i := sort.SearchInts(g.adj[u], v)
 	g.adj[u] = slices.Insert(g.adj[u], i, v)
-	g.eid[u] = slices.Insert(g.eid[u], i, e)
 }
 
 // countCommon counts elements present in both sorted slices.

@@ -61,13 +61,15 @@ func compiledStyleCircuit(n, gates int) *circuit.Circuit {
 // BenchmarkSampleNoisyIdleQubits measures one hybrid-loop evaluation's
 // noisy sampling under melbourne noise — a fresh executor, 1024 shots over
 // 16 trajectories — on a compiled-QAOA-shaped circuit that leaves 3 of 15
-// qubits idle, so the executor evolves a 12-slot register.
+// qubits idle, so the executor evolves a 12-slot register. Iteration i
+// seeds its draws with i, so the fault plans change from one evaluation to
+// the next.
 func BenchmarkSampleNoisyIdleQubits(b *testing.B) {
 	c := idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1)
 	nm := NoiseFromDevice(device.Melbourne15())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleNoisy(c, nm, 1024, 16, rand.New(rand.NewSource(5)))
+		SampleNoisy(c, nm, 1024, 16, rand.New(rand.NewSource(int64(i))))
 	}
 }
 

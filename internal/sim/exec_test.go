@@ -47,7 +47,7 @@ func naiveSampleNoisy(c *circuit.Circuit, nm *NoiseModel, shots, trajectories in
 		if k == 0 {
 			continue
 		}
-		trng := rand.New(rand.NewSource(substreamSeed(base, int64(t))))
+		trng := newSubstream(base, int64(t))
 		s := RunNoisy(c, nm, trng)
 		samples := s.Sample(trng, k)
 		flipReadoutAll(samples, nm, trng)
@@ -170,7 +170,7 @@ func TestExecutorIdealReuse(t *testing.T) {
 	base := rng2.Int63()
 	var ideal []uint64
 	for t9 := 0; t9 < 8; t9++ {
-		trng := rand.New(rand.NewSource(substreamSeed(base, int64(t9))))
+		trng := newSubstream(base, int64(t9))
 		drawFaults(c, nm, trng, nil) // advance past the (empty) fault plan draws
 		ideal = append(ideal, ex.SampleIdeal(trng, 25)...)
 	}
@@ -322,7 +322,7 @@ func TestExecutorIdleQubitsMatchNaive(t *testing.T) {
 			seed := int64(100 + ci)
 			base := rand.New(rand.NewSource(seed)).Int63()
 			for tr := int64(0); tr < 16; tr++ {
-				if len(drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)) > 0 {
+				if len(drawFaults(c, nm, newSubstream(base, tr), nil)) > 0 {
 					faulty++
 				} else {
 					clean++
@@ -407,7 +407,7 @@ func TestExecutorRoutedThroughIdleQubitsMatchesNaive(t *testing.T) {
 		base := rand.New(rand.NewSource(seed)).Int63()
 		for tr := int64(0); tr < 16; tr++ {
 			at := append([]int(nil), ex.start...)
-			faults := drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)
+			faults := drawFaults(c, nm, newSubstream(base, tr), nil)
 			fi := 0
 			for gi, g := range c.Gates {
 				if g.Kind == circuit.Swap {
@@ -641,7 +641,7 @@ func TestSampleNoisyStaggeredPrepMatchesNaive(t *testing.T) {
 		}
 		base := rand.New(rand.NewSource(seed)).Int63()
 		for tr := int64(0); tr < 16; tr++ {
-			p := &trajPlan{faults: drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)}
+			p := &trajPlan{faults: drawFaults(c, nm, newSubstream(base, tr), nil)}
 			ex.plan(p, nil)
 			if ex.replays(p) && p.w.pk < ex.hk {
 				early++

@@ -393,7 +393,7 @@ func TestSampleNoisyAllocsPerTrajectory(t *testing.T) {
 // TestSampleFrameZeroAlloc: drawing a trajectory's shots into caller
 // buffers allocates nothing — sampleFrame over a whole register and over a
 // half register (the mirrored CDF build, with and without the top frame
-// bit), buildCDF and sampleCDFInto (the shared-CDF path), searchCDF, and
+// bit), buildCDF and sampleCDFInto (the shared-CDF path), and
 // deposit on an executor whose idle qubits make it rewrite every sample.
 func TestSampleFrameZeroAlloc(t *testing.T) {
 	ex := NewExecutor(idleTestCircuit(15, []int{0, 1, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14}, 1))
@@ -481,7 +481,7 @@ func TestSampleNoisyDiagonalTailMatchesNaive(t *testing.T) {
 		}
 		base := rand.New(rand.NewSource(seed)).Int63()
 		for tr := int64(0); tr < 16; tr++ {
-			p := &trajPlan{faults: drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, tr))), nil)}
+			p := &trajPlan{faults: drawFaults(c, nm, newSubstream(base, tr), nil)}
 			ex.plan(p, nil)
 			if ex.replays(p) && p.w.pk == n {
 				tailOnly++

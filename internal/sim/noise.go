@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/obsv"
 )
 
 // NoiseModel is a stochastic Pauli error model: after each gate a random
@@ -58,16 +59,13 @@ func (nm *NoiseModel) twoQubitError(a, b int) float64 {
 // trajectories and applying readout bit-flips to every sample. It is the
 // one-shot form of Executor.SampleNoisy (which amortizes the fused program
 // and ideal state across calls); see there for the trajectory substream and
-// Pauli-frame replay semantics.
+// Pauli-frame replay semantics. Its sim/sample_noisy span covers building
+// the executor too.
 func SampleNoisy(c *circuit.Circuit, nm *NoiseModel, shots, trajectories int, rng *rand.Rand) []uint64 {
-	return NewExecutor(c).SampleNoisy(nm, shots, trajectories, rng)
-}
-
-func flipReadout(x uint64, readout []float64, rng *rand.Rand) uint64 {
-	for q, e := range readout {
-		if e > 0 && rng.Float64() < e {
-			x ^= 1 << uint(q)
-		}
+	if shots <= 0 {
+		return []uint64{}
 	}
-	return x
+	span := Collector().StartSpan(obsv.SpanSimSampleNoisy)
+	defer span.End()
+	return NewExecutor(c).sampleNoisy(nm, shots, trajectories, rng)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/obsv"
 )
 
 func bellCircuit() *circuit.Circuit {
@@ -160,5 +161,33 @@ func TestInjectPauli2CoversBothQubits(t *testing.T) {
 				t.Errorf("Pauli digits (%d, %d) never drawn", d0, d1)
 			}
 		}
+	}
+}
+
+// TestSampleNoisyOneSpanPerCall: the one-shot SampleNoisy, whose span also
+// covers building its executor, and Executor.SampleNoisy each record one
+// sim/sample_noisy span per call; zero shots record none.
+func TestSampleNoisyOneSpanPerCall(t *testing.T) {
+	col := obsv.New()
+	SetCollector(col)
+	defer SetCollector(nil)
+	c := noisyTestCircuit(4, 2, 5)
+	nm := testNoiseModel()
+	rng := rand.New(rand.NewSource(1))
+	ex := NewExecutor(c)
+	for i := 0; i < 3; i++ {
+		SampleNoisy(c, nm, 64, 4, rng)
+		ex.SampleNoisy(nm, 64, 4, rng)
+	}
+	SampleNoisy(c, nm, 0, 4, rng)
+	ex.SampleNoisy(nm, 0, 4, rng)
+	var got int64
+	for _, sp := range col.Snapshot().Spans {
+		if sp.Name == obsv.SpanSimSampleNoisy {
+			got = sp.Count
+		}
+	}
+	if got != 6 {
+		t.Fatalf("%d %s spans over 6 calls with shots", got, obsv.SpanSimSampleNoisy)
 	}
 }

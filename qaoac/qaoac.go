@@ -212,5 +212,13 @@ func SampleNoisy(c *Circuit, nm *NoiseModel, shots, trajectories int, rng *rand.
 	return sim.SampleNoisy(c, nm, shots, trajectories, rng)
 }
 
+// Executor samples one circuit many times, noisy and noiseless, from one
+// fused program and one ideal run. Sample noise first: the ideal run then
+// serves every noisy trajectory on its way to the end (see sim.Executor).
+type Executor = sim.Executor
+
+// NewExecutor lays c out on its register slots and fuses it for sampling.
+func NewExecutor(c *Circuit) *Executor { return sim.NewExecutor(c) }
+
 // NoiseFromDevice derives a noise model from a device calibration.
 func NoiseFromDevice(d *Device) *NoiseModel { return sim.NoiseFromDevice(d) }
