@@ -4,8 +4,7 @@
 // external dependency. An Analyzer inspects one type-checked package at a
 // time and reports diagnostics; the loader (Load) resolves packages and
 // their import graph through `go list -export`, so type information is
-// exactly what the compiler built, and the same analyzers also run under
-// `go vet -vettool` via the unitchecker-style driver in cmd/qaoalint.
+// exactly what the compiler built.
 //
 // Escape hatch: a diagnostic is suppressed when the offending line, or the
 // line immediately above it, carries a comment of the form
@@ -155,17 +154,11 @@ func PkgNamed(path string, names ...string) bool {
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the
-// combined diagnostics sorted by position.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersVerbose(pkgs, analyzers)
-	return diags, err
-}
-
-// RunAnalyzersVerbose is RunAnalyzers plus the findings that //lint:allow
-// escapes suppressed, each marked Allowed, so callers (the -json output
-// mode) can surface the blast radius of every escape. Both slices come
-// back sorted by position.
-func RunAnalyzersVerbose(pkgs []*Package, analyzers []*Analyzer) (diags, suppressed []Diagnostic, err error) {
+// combined live diagnostics plus the findings that //lint:allow escapes
+// suppressed, each marked Allowed, so callers (the -json output mode) can
+// surface the blast radius of every escape. Both slices come back sorted
+// by position.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) (diags, suppressed []Diagnostic, err error) {
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{

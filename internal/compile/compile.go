@@ -21,6 +21,8 @@ import (
 // original panic payload so typed panics (like *device.NotCoupledError)
 // remain inspectable via errors.As on the Unwrap chain.
 type PanicError struct {
+	// Stage is the stage the compile was in when it panicked (StageMap
+	// through StageLower); a hook's panic reports the hook's stage.
 	Stage string
 	Value any
 }
@@ -68,8 +70,9 @@ type Result struct {
 // conventional compiler's runtime corresponds to; see EXPERIMENTS.md on
 // compile-time normalization), Stitch (appending IC/VIC partial circuits
 // and mixer layers; zero for the whole-circuit strategies) and Lower
-// (decomposition, peephole optimization, depth and gate count). Checkpoint
-// hooks and trace events between two passes fall to the stage before them.
+// (decomposition, peephole optimization, depth and gate count). Each
+// stage's hook and trace events run inside it, and the same clock readings
+// stamp the stage's trace brackets.
 type Times struct {
 	Map, Order, Route, Stitch, Lower time.Duration
 }
@@ -92,23 +95,36 @@ func (t Times) record(obs *obsv.Collector) {
 	obs.RecordSpan(obsv.SpanCompileLower, t.Lower)
 }
 
-// lapClock times a compilation's stages: each reading of the clock closes
-// the running stage and opens the next, so the stages partition the
-// compile by construction. It points into itself, so it is used in place.
+// lapClock is a compilation's one record of its stages: each reading of
+// the clock closes the running stage and opens the next, so the stages
+// partition the compile by construction. The same reading closes and opens
+// the stages' trace brackets, and the running stage's name is what a
+// recovered panic reports. It points into itself, so it is used in place.
 type lapClock struct {
 	Times
 	running *time.Duration
+	stage   string
 	mark    time.Time
+	tr      *trace.Tracer
 }
 
 // enter charges the time since the last reading to the running stage (none
-// on the first call) and makes stage the running one.
-func (c *lapClock) enter(stage *time.Duration) {
+// on the first call), moves the trace bracket from it to stage, and makes
+// stage, timed into d, the running one. enter("", nil) ends the compile.
+func (c *lapClock) enter(stage string, d *time.Duration) {
 	now := time.Now() //lint:allow determinism: compile stage timing; Times and spans are stripped by the gates
 	if c.running != nil {
 		*c.running += now.Sub(c.mark)
 	}
-	c.running, c.mark = stage, now
+	c.tr.Pass(c.stage, stage, now)
+	c.running, c.stage, c.mark = d, stage, now
+}
+
+// traceTo starts bracketing stages into tr, opening the running stage's
+// bracket at the clock's last reading.
+func (c *lapClock) traceTo(tr *trace.Tracer) {
+	c.tr = tr
+	tr.Pass("", c.stage, c.mark)
 }
 
 // ExtractLogical converts a measured physical bitstring y (bit p = physical
@@ -156,15 +172,18 @@ func CompileSpec(spec Spec, dev *device.Device, opts Options) (*Result, error) {
 // caller, so one bad compilation cannot take down a batch or a service.
 func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts Options) (res *Result, err error) {
 	var clk lapClock
-	clk.enter(&clk.Map)
-	stage := StageMap
+	clk.enter(StageMap, &clk.Map)
+	traceStart := opts.Trace.Len()
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, &PanicError{Stage: stage, Value: r}
+			res, err = nil, &PanicError{Stage: clk.stage, Value: r}
 		}
-		clk.enter(clk.running) // charge the rest to the stage that ended the compile
+		clk.enter("", nil) // charge the rest to the stage that ended the compile
 		if res != nil {
 			res.Times = clk.Times
+			if opts.Trace.Enabled() {
+				opts.Obs.Add(obsv.CntTraceEvents, int64(opts.Trace.Len()-traceStart))
+			}
 		}
 		clk.record(opts.Obs)
 	}()
@@ -181,29 +200,25 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 	if err := checkpoint(ctx, StageMap, o.Hook); err != nil {
 		return nil, err
 	}
-	traceStart := o.Trace.Len()
 	if o.Trace.Enabled() {
 		o.Trace.Meta(traceMeta(ctx, spec, dev, o))
+		clk.traceTo(o.Trace)
 	}
 
-	o.Trace.BeginPass(StageMap)
 	var initial *router.Layout
 	if o.Mapper == MapReverse {
-		initial, err = ReverseTraversalMapping(spec, dev, o.ReverseIterations, o)
+		initial, err = ReverseTraversalMapping(spec, dev, o)
 	} else {
 		initial, err = buildMapping(spec.InteractionGraph(), dev, o)
 	}
-	o.Trace.EndPass(StageMap)
 	if err != nil {
 		return nil, err
 	}
 
 	switch o.Strategy {
 	case WholeRandom, WholeIP, WholeColor:
-		stage = StageOrder
-		res, err = compileWhole(ctx, spec, dev, initial, o, &stage, &clk)
+		res, err = compileWhole(ctx, spec, dev, initial, o, &clk)
 	case Incremental, IncrementalVariation:
-		stage = StageRoute
 		res, err = compileIncremental(ctx, spec, dev, initial, o, &clk)
 	default:
 		return nil, fmt.Errorf("compile: unknown strategy %v", o.Strategy)
@@ -212,7 +227,7 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		return nil, err
 	}
 
-	clk.enter(&clk.Lower)
+	clk.enter(StageLower, &clk.Lower)
 	if o.Optimize {
 		res.Circuit = circuit.Peephole(res.Circuit)
 	}
@@ -227,9 +242,6 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		o.Obs.Add(obsv.CntCompileSwaps, int64(res.SwapCount))
 		o.Obs.Add(obsv.CntCompileGates, int64(res.GateCount))
 		o.Obs.Add(obsv.CntCompileDepthTotal, int64(res.Depth))
-		if o.Trace.Enabled() {
-			o.Obs.Add(obsv.CntTraceEvents, int64(o.Trace.Len()-traceStart))
-		}
 	}
 	return res, nil
 }
@@ -286,13 +298,12 @@ func emitLocals(out *circuit.Circuit, level LevelSpec, phys func(int) int) {
 
 // compileWhole builds the complete logical circuit (with the strategy's
 // ZZ-term order) and routes it in a single backend call — the NAIVE/QAIM/IP
-// flow of Fig. 2. stage tracks the running pass for panic attribution.
-func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options, stage *string, clk *lapClock) (*Result, error) {
+// flow of Fig. 2.
+func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *router.Layout, o Options, clk *lapClock) (*Result, error) {
+	clk.enter(StageOrder, &clk.Order)
 	if err := checkpoint(ctx, StageOrder, o.Hook); err != nil {
 		return nil, err
 	}
-	o.Trace.BeginPass(StageOrder)
-	clk.enter(&clk.Order)
 	logical := circuit.New(spec.N)
 	for q := 0; q < spec.N; q++ {
 		logical.Append(circuit.NewH(q))
@@ -308,7 +319,6 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 			var err error
 			ordered, err = ColorTermOrder(spec.N, level.ZZ)
 			if err != nil {
-				o.Trace.EndPass(StageOrder)
 				return nil, err
 			}
 		}
@@ -323,9 +333,8 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 	if o.Measure {
 		logical.MeasureAll()
 	}
-	o.Trace.EndPass(StageOrder)
 
-	*stage = StageRoute
+	clk.enter(StageRoute, &clk.Route)
 	if err := checkpoint(ctx, StageRoute, o.Hook); err != nil {
 		return nil, err
 	}
@@ -334,10 +343,7 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 	r.Trials, r.Rng = o.RouterTrials, o.Rng
 	r.Obs = o.Obs
 	r.Trace = o.Trace
-	o.Trace.BeginPass(StageRoute)
-	clk.enter(&clk.Route)
 	routed, err := r.RouteContext(ctx, logical, initial)
-	o.Trace.EndPass(StageRoute)
 	if err != nil {
 		return nil, err
 	}
@@ -385,11 +391,7 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 		emitLocals(out, level, layout.Phys)
 		remaining := append([]ZZTerm(nil), level.ZZ...)
 		for len(remaining) > 0 {
-			if err := checkpoint(ctx, StageRoute, o.Hook); err != nil {
-				return nil, err
-			}
-			o.Trace.BeginPass(StageOrder)
-			clk.enter(&clk.Order)
+			clk.enter(StageOrder, &clk.Order)
 			layer, rest := nextIncrementalLayer(remaining, layout, dist, o, occupied, layerBuf)
 			layerBuf = layer // keep the high-water scratch for the next pack
 			// Route the single-layer partial circuit from the live layout.
@@ -397,18 +399,18 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 			for _, t := range layer {
 				partial.Append(circuit.NewCPhase(t.U, t.V, t.Theta))
 			}
-			o.Trace.EndPass(StageOrder)
 			if o.Trace.Enabled() {
 				o.Trace.Layer(traceLayer(layerIdx, li, layer, rest, layout, dist))
 			}
-			o.Trace.BeginPass(StageRoute)
-			clk.enter(&clk.Route)
+			clk.enter(StageRoute, &clk.Route)
+			if err := checkpoint(ctx, StageRoute, o.Hook); err != nil {
+				return nil, err
+			}
 			routed, err := r.RouteContext(ctx, partial, layout)
-			o.Trace.EndPass(StageRoute)
 			if err != nil {
 				return nil, err
 			}
-			clk.enter(&clk.Stitch)
+			clk.enter(StageStitch, &clk.Stitch)
 			out.AppendCircuit(routed.Circuit)
 			o.Obs.Inc(obsv.CntCompileLayers)
 			if o.Trace.Enabled() {

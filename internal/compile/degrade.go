@@ -53,13 +53,12 @@ type FallbackOptions struct {
 	// Seed derives the per-attempt rngs, keeping the whole ladder
 	// reproducible (default 1).
 	Seed int64
-	// PackingLimit, Measure, Optimize, Hook and Obs carry through to the
+	// PackingLimit, Optimize, Hook and Obs carry through to the
 	// underlying Options of every attempt. Obs additionally receives the
 	// ladder's own counters: compile/fallback_attempts (failed tries before
 	// the success), compile/fallback_degraded (ladders that stepped down)
 	// and compile/fallback_depth_total (rungs descended).
 	PackingLimit int
-	Measure      bool
 	Optimize     bool
 	Hook         Hook
 	Obs          *obsv.Collector
@@ -269,7 +268,6 @@ func attemptOptions(p Preset, rung, retry int, fo FallbackOptions) Options {
 	rng := rand.New(rand.NewSource(fo.Seed + int64(rung)*1_000_033 + int64(retry)*7_919))
 	opts := p.Options(rng)
 	opts.PackingLimit = fo.PackingLimit
-	opts.Measure = fo.Measure
 	opts.Optimize = fo.Optimize
 	opts.Hook = fo.Hook
 	opts.Obs = fo.Obs

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/graphs"
+	"repro/internal/obsv"
 	"repro/internal/qaoa"
 )
 
@@ -60,6 +61,63 @@ func TestCompilePanicBecomesTypedError(t *testing.T) {
 	}
 	if pe.Stage != StageMap {
 		t.Fatalf("panic stage = %q, want %q", pe.Stage, StageMap)
+	}
+}
+
+// Hooks fire at the start of their own stage in a fixed sequence: map,
+// order, route for the whole-circuit strategies; map, then route once per
+// formed layer for IC/VIC. A hook that panics at any one of those calls
+// reports that call's stage.
+func TestCompileHookSequence(t *testing.T) {
+	prob := smallProblem(t, 8, 3)
+	dev := device.Melbourne15()
+	type config struct {
+		name string
+		opts func() Options
+	}
+	var configs []config
+	for _, preset := range Presets {
+		configs = append(configs, config{preset.String(), func() Options { return preset.Options(rand.New(rand.NewSource(4))) }})
+	}
+	configs = append(configs, config{"vizing", func() Options { return Options{Mapper: MapQAIM, Strategy: WholeColor} }})
+	for _, c := range configs {
+		opts := c.opts()
+		col := obsv.New()
+		var seq []string
+		opts.Obs = col
+		opts.Hook = func(stage string) error {
+			seq = append(seq, stage)
+			return nil
+		}
+		if _, err := Compile(prob, p1Params(0.5, 0.2), dev, opts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := []string{StageMap, StageOrder, StageRoute}
+		if opts.Strategy == Incremental || opts.Strategy == IncrementalVariation {
+			want = []string{StageMap}
+			for i := int64(0); i < col.Snapshot().Counters[obsv.CntCompileLayers]; i++ {
+				want = append(want, StageRoute)
+			}
+		}
+		if fmt.Sprint(seq) != fmt.Sprint(want) || len(want) < 2 {
+			t.Fatalf("%s: hooks fired %v, want %v", c.name, seq, want)
+		}
+		for i, stage := range want {
+			opts := c.opts()
+			calls := 0
+			opts.Hook = func(string) error {
+				if calls == i {
+					panic("injected")
+				}
+				calls++
+				return nil
+			}
+			_, err := Compile(prob, p1Params(0.5, 0.2), dev, opts)
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Stage != stage {
+				t.Errorf("%s: panic in hook call %d gave %v, want a panic in %s", c.name, i, err, stage)
+			}
+		}
 	}
 }
 

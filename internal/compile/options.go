@@ -94,18 +94,26 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Hook observes pass boundaries during compilation. It is called with the
-// stage about to run ("map", "order", "route"); a non-nil return aborts the
+// Hook observes pass boundaries during compilation. It is called at the
+// start of the stage it names, inside that stage's time and trace bracket:
+// once for "map" (after validation), then "order" and "route" once each
+// for the whole-circuit strategies, or "route" once per formed layer for
+// IC/VIC, after the layer is formed. A non-nil return aborts the
 // compilation with that error. Fault-injection harnesses use hooks to
 // simulate pass crashes (panics are recovered at the compile boundary and
-// converted to *PanicError) and latency; nil disables the mechanism.
+// converted to *PanicError naming the hook's stage) and latency; nil
+// disables the mechanism.
 type Hook func(stage string) error
 
-// Hook stage names.
+// Stage names: the stages of Times, their trace brackets, the hook
+// arguments and PanicError.Stage values. Hooks fire only for map, order and
+// route.
 const (
-	StageMap   = "map"
-	StageOrder = "order"
-	StageRoute = "route"
+	StageMap    = "map"
+	StageOrder  = "order"
+	StageRoute  = "route"
+	StageStitch = "stitch"
+	StageLower  = "lower"
 )
 
 // Options configures a compilation run.
@@ -121,9 +129,6 @@ type Options struct {
 	// LookaheadWeight is passed to the router (default 0.5; negative
 	// disables lookahead).
 	LookaheadWeight float64
-	// ReverseIterations is the number of forward/reverse passes for
-	// MapReverse (default 3, as in Li et al.).
-	ReverseIterations int
 	// RouterTrials > 1 lets the backend route each (partial) circuit that
 	// many times with randomized tie-breaking and keep the fewest-SWAP
 	// attempt (stochastic-swap). The attempts run in parallel across

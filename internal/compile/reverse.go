@@ -6,21 +6,22 @@ import (
 	"repro/internal/router"
 )
 
+// reverseIterations is the number of forward/reverse passes of
+// ReverseTraversalMapping.
+const reverseIterations = 3
+
 // ReverseTraversalMapping implements the reverse-traversal initial-mapping
 // refinement of Li, Ding & Xie (ASPLOS'19), which the paper discusses as
 // related work (§III "Initial Mapping"): starting from a random mapping,
 // the circuit and its reverse are routed alternately, each pass's final
 // layout seeding the next pass's initial layout. Because the reverse of a
 // quantum circuit undoes it, the final layout of a reverse pass is a good
-// initial layout for the forward circuit. A few iterations (the paper
-// quotes 3) converge at the cost of the repeated compilations.
+// initial layout for the forward circuit. reverseIterations passes (the
+// count Li et al. quote) converge at the cost of the repeated compilations.
 //
 // Only the two-qubit cost structure matters for routing, so the traversal
 // routes the spec's ZZ terms in their given order.
-func ReverseTraversalMapping(spec Spec, dev *device.Device, iterations int, o Options) (*router.Layout, error) {
-	if iterations <= 0 {
-		iterations = 3
-	}
+func ReverseTraversalMapping(spec Spec, dev *device.Device, o Options) (*router.Layout, error) {
 	forward := circuit.New(spec.N)
 	for _, level := range spec.Levels {
 		for _, t := range level.ZZ {
@@ -38,8 +39,8 @@ func ReverseTraversalMapping(spec Spec, dev *device.Device, iterations int, o Op
 	}
 	r := router.New(dev)
 	r.LookaheadWeight = o.LookaheadWeight
-	r.Obs = o.Obs // the map pass's 2·iterations routes count as routing work
-	for it := 0; it < iterations; it++ {
+	r.Obs = o.Obs // the map pass's 2·reverseIterations routes count as routing work
+	for it := 0; it < reverseIterations; it++ {
 		fwd, err := r.Route(forward, current)
 		if err != nil {
 			return nil, err

@@ -20,7 +20,7 @@ func TestReverseTraversalMappingValid(t *testing.T) {
 	}
 	dev := device.Tokyo20()
 	o := Options{Rng: rng}.withDefaults()
-	l, err := ReverseTraversalMapping(spec, dev, 3, o)
+	l, err := ReverseTraversalMapping(spec, dev, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/graphs"
+	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 
@@ -243,8 +245,26 @@ func (c routeCancelCtx) Err() error {
 	return nil
 }
 
-// A compile that fails inside a pass still closes that pass's bracket:
-// every pass_begin of the trace has its pass_end.
+// passPanicSource is a rand.Source whose draws panic once the trace holds a
+// pass_begin for pass: the pass that draws next crashes mid-flight.
+type passPanicSource struct {
+	rand.Source
+	tr   *trace.Tracer
+	pass string
+}
+
+func (s passPanicSource) Int63() int64 {
+	for _, e := range s.tr.Events() {
+		if e.Kind == trace.KindPassBegin && e.Pass == s.pass {
+			panic("injected: " + s.pass + " pass crashed")
+		}
+	}
+	return s.Source.Int63()
+}
+
+// A compile that fails inside a pass, by error, cancellation or panic,
+// still closes that pass's bracket: every pass_begin of the trace has its
+// pass_end. A panic reports the pass it crashed.
 func TestTracePassBracketsClosedOnError(t *testing.T) {
 	dup := Spec{N: 3, Levels: []LevelSpec{{
 		ZZ:        []ZZTerm{{U: 0, V: 1, Theta: 0.3}, {U: 1, V: 2, Theta: 0.3}, {U: 0, V: 1, Theta: 0.3}},
@@ -255,16 +275,21 @@ func TestTracePassBracketsClosedOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trials := PresetQAIM.Options(nil)
+	trials.RouterTrials = 2
 	cases := []struct {
-		name   string
-		spec   Spec
-		opts   Options
-		cancel bool
-		failed string // the pass whose bracket the error interrupts
+		name           string
+		spec           Spec
+		opts           Options
+		cancel, panics bool
+		failed         string // the pass whose bracket the error interrupts
 	}{
-		{"duplicate term, edge coloring", dup, Options{Mapper: MapQAIM, Strategy: WholeColor}, false, StageOrder},
-		{"cancelled route, whole circuit", ringSpec, PresetQAIM.Options(nil), true, StageRoute},
-		{"cancelled route, incremental", ringSpec, PresetIC.Options(nil), true, StageRoute},
+		{"duplicate term, edge coloring", dup, Options{Mapper: MapQAIM, Strategy: WholeColor}, false, false, StageOrder},
+		{"cancelled route, whole circuit", ringSpec, PresetQAIM.Options(nil), true, false, StageRoute},
+		{"cancelled route, incremental", ringSpec, PresetIC.Options(nil), true, false, StageRoute},
+		{"panicking order, whole circuit", ringSpec, PresetQAIM.Options(nil), false, true, StageOrder},
+		{"panicking order, incremental", ringSpec, PresetIC.Options(nil), false, true, StageOrder},
+		{"panicking route, router trials", ringSpec, trials, false, true, StageRoute},
 	}
 	for _, tc := range cases {
 		tr := trace.New()
@@ -273,10 +298,16 @@ func TestTracePassBracketsClosedOnError(t *testing.T) {
 		if tc.cancel {
 			ctx = routeCancelCtx{Context: ctx, tr: tr}
 		}
+		if tc.panics {
+			tc.opts.Rng = rand.New(passPanicSource{Source: rand.NewSource(1), tr: tr, pass: tc.failed})
+		}
+		var pe *PanicError
 		if _, err := CompileSpecContext(ctx, tc.spec, device.Tokyo20(), tc.opts); err == nil {
 			t.Fatalf("%s: compile succeeded", tc.name)
 		} else if tc.cancel && !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: error %v, want a cancellation", tc.name, err)
+		} else if tc.panics && (!errors.As(err, &pe) || pe.Stage != tc.failed) {
+			t.Fatalf("%s: error %v, want a panic in the %s pass", tc.name, err, tc.failed)
 		}
 		open := map[string]int{}
 		for _, e := range tr.Events() {
@@ -296,4 +327,103 @@ func TestTracePassBracketsClosedOnError(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bracketTimes checks that a compile's pass brackets run one at a time and
+// all close, and returns each pass's bracket count and summed duration.
+func bracketTimes(t *testing.T, name string, events []trace.Event) (map[string]int, map[string]time.Duration) {
+	t.Helper()
+	count, sum := map[string]int{}, map[string]time.Duration{}
+	open, began := "", int64(0)
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KindPassBegin:
+			if open != "" {
+				t.Fatalf("%s: pass %q began inside %q", name, e.Pass, open)
+			}
+			open, began = e.Pass, e.TimeUS
+		case trace.KindPassEnd:
+			if e.Pass != open {
+				t.Fatalf("%s: pass %q ended while %q was open", name, e.Pass, open)
+			}
+			count[open]++
+			sum[open] += time.Duration(e.TimeUS-began) * time.Microsecond
+			open = ""
+		}
+	}
+	if open != "" {
+		t.Fatalf("%s: pass %q left open", name, open)
+	}
+	return count, sum
+}
+
+// One clock drives a compile's stage times and its trace brackets. For
+// every preset with peephole optimization on and off, and for a skeleton
+// compile: every stage Times charges has brackets, a stage's brackets sum
+// to its Times within a microsecond per bracket plus one, meta still opens
+// the trace, and trace/events counts every event, the last bracket's close
+// included.
+func TestTraceBracketsMatchTimes(t *testing.T) {
+	g := graphs.MustRandomRegular(8, 3, rand.New(rand.NewSource(5)))
+	prob := mustProblem(t, g)
+	dev := device.Melbourne15()
+	ps, err := ParamSpecFromMaxCut(prob, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, opts Options, compile func(Options) (Times, error)) {
+		t.Helper()
+		tr, col := trace.New(), obsv.New()
+		opts.Trace, opts.Obs = tr, col
+		times, err := compile(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		events := tr.Events()
+		if events[0].Kind != trace.KindMeta {
+			t.Errorf("%s: first event is %q, want meta", name, events[0].Kind)
+		}
+		if got := col.Snapshot().Counters[obsv.CntTraceEvents]; got != int64(len(events)) {
+			t.Errorf("%s: trace/events %d, the trace holds %d", name, got, len(events))
+		}
+		count, sum := bracketTimes(t, name, events)
+		for _, st := range []struct {
+			pass string
+			d    time.Duration
+		}{
+			{StageMap, times.Map}, {StageOrder, times.Order}, {StageRoute, times.Route},
+			{StageStitch, times.Stitch}, {StageLower, times.Lower},
+		} {
+			if st.d > 0 && count[st.pass] == 0 {
+				t.Errorf("%s: %s took %v but has no bracket", name, st.pass, st.d)
+			}
+			diff := sum[st.pass] - st.d
+			if diff < 0 {
+				diff = -diff
+			}
+			if slack := time.Duration(count[st.pass]+1) * time.Microsecond; diff > slack {
+				t.Errorf("%s: %s brackets sum to %v over %d brackets, Times says %v", name, st.pass, sum[st.pass], count[st.pass], st.d)
+			}
+		}
+	}
+	for _, preset := range Presets {
+		for _, optimize := range []bool{false, true} {
+			opts := preset.Options(rand.New(rand.NewSource(int64(preset) + 1)))
+			opts.Optimize = optimize
+			check(preset.String(), opts, func(opts Options) (Times, error) {
+				res, err := Compile(prob, p1Params(0.5, 0.2), dev, opts)
+				if err != nil {
+					return Times{}, err
+				}
+				return res.Times, nil
+			})
+		}
+	}
+	check("skeleton", PresetIC.Options(rand.New(rand.NewSource(9))), func(opts Options) (Times, error) {
+		sk, err := CompileSkeleton(context.Background(), ps, dev, opts)
+		if err != nil {
+			return Times{}, err
+		}
+		return sk.res.Times, nil
+	})
 }

@@ -165,17 +165,13 @@ func (e *HardwareEvaluator) Expectation(params qaoa.Params) (float64, error) {
 	}
 	samples := sim.SampleNoisy(res.Circuit, e.noise, shots, traj, e.Rng)
 	// The evaluator is called once per optimizer step over the same problem,
-	// so the dense cut table (cached on Prob) amortizes immediately and each
-	// sample costs one lookup instead of an edge scan.
-	tbl := e.Prob.CostTable()
+	// so building the dense cut table (cached on Prob) amortizes immediately
+	// and Cost then scores each sample with one lookup instead of an edge
+	// scan.
+	e.Prob.CostTable()
 	var sum float64
 	for _, y := range samples {
-		x := res.ExtractLogical(y)
-		if v, ok := qaoa.CutFromTable(tbl, x); ok {
-			sum += float64(v)
-		} else {
-			sum += e.Prob.Cost(x)
-		}
+		sum += e.Prob.Cost(res.ExtractLogical(y))
 	}
 	return sum / float64(len(samples)), nil
 }

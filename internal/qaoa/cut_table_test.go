@@ -21,12 +21,12 @@ func TestCostTableMatchesCutValueBits(t *testing.T) {
 			t.Fatalf("trial %d: table length %d, want %d", trial, len(tbl), 1<<uint(n-1))
 		}
 		for x := uint64(0); x < 1<<uint(n); x++ {
-			v, ok := CutFromTable(tbl, x)
+			v, ok := cutFromTable(tbl, x)
 			if want := float64(graphs.CutValueBits(g, x)); !ok || float64(v) != want {
 				t.Fatalf("trial %d: cut of %#x from the table = %d (%v), CutValueBits = %g", trial, x, v, ok, want)
 			}
 		}
-		if _, ok := CutFromTable(tbl, 1<<uint(n)); ok {
+		if _, ok := cutFromTable(tbl, 1<<uint(n)); ok {
 			t.Fatalf("trial %d: the table claims bitstring %#x beyond its %d vertices", trial, 1<<uint(n), n)
 		}
 	}

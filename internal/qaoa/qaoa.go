@@ -49,7 +49,7 @@ func (p *Problem) NumQubits() int { return p.G.N() }
 // array lookup instead of an O(edges) scan.
 func (p *Problem) Cost(x uint64) float64 {
 	if t := p.costTab.Load(); t != nil {
-		if v, ok := CutFromTable(*t, x); ok {
+		if v, ok := cutFromTable(*t, x); ok {
 			return float64(v)
 		}
 	}

@@ -28,7 +28,7 @@ const _ uint8 = CostTableMaxQubits * (CostTableMaxQubits - 1) / 2
 // for n ≤ 1), building and caching it on first use; nil when the graph
 // exceeds CostTableMaxQubits. A cut is unchanged when every vertex changes
 // side, so x with the top bit set has the cut of x ^ (2^n−1), and the
-// table holds every cut value in half the bytes (CutFromTable reads it).
+// table holds every cut value in half the bytes (cutFromTable reads it).
 // The build is O(1) per entry: with h the highest set bit of x, flipping
 // vertex h to side 1 changes the cut by deg(h) minus twice the number of
 // h's neighbors already on side 1, all read off precomputed neighbor
@@ -55,10 +55,10 @@ func (p *Problem) CostTable() []uint8 {
 	return tbl
 }
 
-// CutFromTable returns the cut value of bitstring x read off tbl, a table
+// cutFromTable returns the cut value of bitstring x read off tbl, a table
 // from CostTable, and false when x lies outside the 2·len(tbl) bitstrings
 // the table covers.
-func CutFromTable(tbl []uint8, x uint64) (uint8, bool) {
+func cutFromTable(tbl []uint8, x uint64) (uint8, bool) {
 	h := uint64(len(tbl))
 	if x >= h {
 		x ^= 2*h - 1

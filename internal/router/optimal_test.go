@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,12 +27,12 @@ func TestOptimalSwapsKnownCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		init := TrivialLayout(tc.dev.NQubits(), tc.dev.NQubits())
-		got, err := OptimalSwaps(tc.gates, tc.dev, init)
+		got, err := optimalSwaps(tc.gates, tc.dev, init)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got != tc.want {
-			t.Errorf("%s: OptimalSwaps = %d, want %d", tc.name, got, tc.want)
+			t.Errorf("%s: optimalSwaps = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -43,7 +44,7 @@ func TestOptimalSwapsSharedQubitPair(t *testing.T) {
 	// before its endpoints scatter — BFS finds the joint optimum.
 	dev := device.Linear(4)
 	init := TrivialLayout(4, 4)
-	got, err := OptimalSwaps([][2]int{{0, 3}, {1, 2}}, dev, init)
+	got, err := optimalSwaps([][2]int{{0, 3}, {1, 2}}, dev, init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +54,20 @@ func TestOptimalSwapsSharedQubitPair(t *testing.T) {
 }
 
 func TestOptimalSwapsLimits(t *testing.T) {
-	if _, err := OptimalSwaps(nil, device.Linear(9), TrivialLayout(9, 9)); err == nil {
+	if _, err := optimalSwaps(nil, device.Linear(9), TrivialLayout(9, 9)); err == nil {
 		t.Error("oversized device accepted")
 	}
 	big := make([][2]int, 13)
 	for i := range big {
 		big[i] = [2]int{0, 1}
 	}
-	if _, err := OptimalSwaps(big, device.Linear(4), TrivialLayout(4, 4)); err == nil {
+	if _, err := optimalSwaps(big, device.Linear(4), TrivialLayout(4, 4)); err == nil {
 		t.Error("too many gates accepted")
 	}
-	if _, err := OptimalSwaps([][2]int{{0, 0}}, device.Linear(4), TrivialLayout(4, 4)); err == nil {
+	if _, err := optimalSwaps([][2]int{{0, 0}}, device.Linear(4), TrivialLayout(4, 4)); err == nil {
 		t.Error("self-gate accepted")
 	}
-	if _, err := OptimalSwaps([][2]int{{0, 1}}, device.Linear(4), nil); err == nil {
+	if _, err := optimalSwaps([][2]int{{0, 1}}, device.Linear(4), nil); err == nil {
 		t.Error("nil layout accepted")
 	}
 }
@@ -84,7 +85,7 @@ func TestHeuristicNearOptimal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dev := devices[rng.Intn(len(devices))]()
 		n := dev.NQubits()
-		// A single layer of disjoint gates (matching OptimalSwaps's
+		// A single layer of disjoint gates (matching optimalSwaps's
 		// unordered-set semantics).
 		perm := rng.Perm(n)
 		var gates [][2]int
@@ -92,7 +93,7 @@ func TestHeuristicNearOptimal(t *testing.T) {
 			gates = append(gates, [2]int{perm[i], perm[i+1]})
 		}
 		init := TrivialLayout(n, n)
-		opt, err := OptimalSwaps(gates, dev, init)
+		opt, err := optimalSwaps(gates, dev, init)
 		if err != nil {
 			return false
 		}
@@ -117,4 +118,99 @@ func TestHeuristicNearOptimal(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("worst heuristic-vs-optimal gap: %d swaps", worstGap)
+}
+
+// optimalSwaps computes the exact minimum number of SWAPs needed to execute
+// every gate in gates — an unordered set of logical qubit pairs, execution
+// being free once a pair sits on a coupling edge — starting from the given
+// layout. It searches breadth-first over (layout, executed-set) states, so
+// it is exponential and intentionally restricted to tiny instances; its
+// role is to bound how far the heuristic router strays from optimal (the
+// "reasoning engine" approach of §III, usable only at toy scale).
+func optimalSwaps(gates [][2]int, dev *device.Device, initial *Layout) (int, error) {
+	const (
+		maxPhysical = 8
+		maxGates    = 12
+		maxStates   = 2_000_000
+	)
+	if dev.NQubits() > maxPhysical {
+		return 0, fmt.Errorf("router: optimal search limited to %d physical qubits, device has %d", maxPhysical, dev.NQubits())
+	}
+	if len(gates) > maxGates {
+		return 0, fmt.Errorf("router: optimal search limited to %d gates, got %d", maxGates, len(gates))
+	}
+	if initial == nil {
+		return 0, fmt.Errorf("router: optimal search needs an initial layout")
+	}
+	for _, g := range gates {
+		if g[0] < 0 || g[0] >= initial.NLogical() || g[1] < 0 || g[1] >= initial.NLogical() || g[0] == g[1] {
+			return 0, fmt.Errorf("router: invalid gate (%d,%d)", g[0], g[1])
+		}
+	}
+
+	full := (1 << uint(len(gates))) - 1
+
+	type state struct {
+		key  string
+		mask int
+	}
+	encode := func(l *Layout) string {
+		b := make([]byte, len(l.L2P))
+		for i, p := range l.L2P {
+			b[i] = byte(p)
+		}
+		return string(b)
+	}
+	// closure executes every currently-adjacent gate (free).
+	closure := func(l *Layout, mask int) int {
+		for i, g := range gates {
+			if mask&(1<<uint(i)) != 0 {
+				continue
+			}
+			if dev.Connected(l.Phys(g[0]), l.Phys(g[1])) {
+				mask |= 1 << uint(i)
+			}
+		}
+		return mask
+	}
+
+	start := initial.Clone()
+	startMask := closure(start, 0)
+	if startMask == full {
+		return 0, nil
+	}
+	type node struct {
+		layout *Layout
+		mask   int
+	}
+	frontier := []node{{start, startMask}}
+	visited := map[state]bool{{encode(start), startMask}: true}
+	edges := dev.Coupling.Edges()
+
+	for swaps := 1; ; swaps++ {
+		var next []node
+		for _, nd := range frontier {
+			for _, e := range edges {
+				l := nd.layout.Clone()
+				l.SwapPhysical(e.U, e.V)
+				mask := closure(l, nd.mask)
+				if mask == full {
+					return swaps, nil
+				}
+				st := state{encode(l), mask}
+				if visited[st] {
+					continue
+				}
+				visited[st] = true
+				if len(visited) > maxStates {
+					return 0, fmt.Errorf("router: optimal search exceeded %d states", maxStates)
+				}
+				next = append(next, node{l, mask})
+			}
+		}
+		if len(next) == 0 {
+			return 0, fmt.Errorf("router: optimal search exhausted without executing all gates (disconnected device?)")
+		}
+		frontier = next
+	}
 }

@@ -27,7 +27,8 @@ type chromeTrace struct {
 }
 
 // Track ids: one Perfetto track per pass, so the timeline shows mapping,
-// ordering, routing, stitching and the fallback ladder as parallel lanes.
+// ordering, routing, stitching, lowering and the fallback ladder as
+// parallel lanes.
 var chromeTracks = []struct {
 	tid  int
 	pass string
@@ -36,7 +37,8 @@ var chromeTracks = []struct {
 	{2, "order"},
 	{3, "route"},
 	{4, "stitch"},
-	{5, "fallback"},
+	{5, "lower"},
+	{6, "fallback"},
 }
 
 func chromeTID(pass string) int {

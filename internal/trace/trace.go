@@ -39,7 +39,10 @@ type Kind string
 const (
 	// KindMeta opens a compilation: device shape, problem size, strategy.
 	KindMeta Kind = "meta"
-	// KindPassBegin / KindPassEnd bracket a named pass (map, order, route).
+	// KindPassBegin / KindPassEnd bracket one run of a compile stage (map,
+	// order, route, stitch, lower). Brackets are stamped with the compile's
+	// own stage clock, so per stage they sum to compile.Times, and a compile
+	// closes its last bracket on every return path, panics included.
 	KindPassBegin Kind = "pass_begin"
 	KindPassEnd   Kind = "pass_end"
 	// KindPlacement is one initial-mapping decision.
@@ -177,14 +180,16 @@ func New() *Tracer { return &Tracer{start: time.Now()} } //lint:allow determinis
 // Enabled reports whether the tracer records anything (i.e. is non-nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// emit stamps and appends one event.
+// emit stamps one event with the tracer's clock and appends it.
 func (t *Tracer) emit(e Event) {
-	if t == nil {
-		return
-	}
+	t.emitAt(time.Now(), e) //lint:allow determinism: event timestamp; stripped by StripTimes before comparison
+}
+
+// emitAt appends one event stamped at the given reading.
+func (t *Tracer) emitAt(at time.Time, e Event) {
 	t.mu.Lock()
 	e.Seq = len(t.events)
-	e.TimeUS = time.Since(t.start).Microseconds() //lint:allow determinism: event timestamp; stripped by StripTimes before comparison
+	e.TimeUS = at.Sub(t.start).Microseconds()
 	t.events = append(t.events, e)
 	t.mu.Unlock()
 }
@@ -197,20 +202,20 @@ func (t *Tracer) Meta(m MetaInfo) {
 	t.emit(Event{Kind: KindMeta, Meta: &m})
 }
 
-// BeginPass / EndPass bracket the named pass for the timeline exporters.
-func (t *Tracer) BeginPass(pass string) {
+// Pass marks a stage boundary at the caller's clock reading at: it closes
+// the bracket of pass end and opens one for pass begin. An empty name skips
+// that half. Stamping both with the caller's reading makes a bracket's
+// duration the time the caller charged to the pass, to the microsecond.
+func (t *Tracer) Pass(end, begin string, at time.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: KindPassBegin, Pass: pass})
-}
-
-// EndPass closes the named pass opened by BeginPass.
-func (t *Tracer) EndPass(pass string) {
-	if t == nil {
-		return
+	if end != "" {
+		t.emitAt(at, Event{Kind: KindPassEnd, Pass: end})
 	}
-	t.emit(Event{Kind: KindPassEnd, Pass: pass})
+	if begin != "" {
+		t.emitAt(at, Event{Kind: KindPassBegin, Pass: begin})
+	}
 }
 
 // Placement records one initial-mapping decision (map pass).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // sampleEvents builds a small but kind-complete stream by hand.
@@ -18,18 +19,17 @@ func sampleEvents() []Event {
 		Mapper:   "qaim",
 		Strategy: "ic",
 	})
-	tr.BeginPass("map")
+	tr.Pass("", "map", time.Now())
 	tr.Placement(PlacementInfo{Logical: 0, Phys: 1, Strength: 3, Candidates: 4})
 	tr.Placement(PlacementInfo{Logical: 1, Phys: 2, Strength: 2, Score: 1.5, Candidates: 2, PlacedNeighbors: []int{1}})
-	tr.EndPass("map")
-	tr.BeginPass("order")
+	tr.Pass("map", "order", time.Now())
 	tr.Layer(LayerInfo{Index: 0, Level: 0, Terms: []TermInfo{{U: 0, V: 1, PU: 1, PV: 2, Dist: 1}}, Deferred: 1})
-	tr.EndPass("order")
-	tr.BeginPass("route")
+	tr.Pass("order", "route", time.Now())
 	tr.Swap(SwapInfo{P1: 2, P2: 3, Cost: 1, Gain: 1, RoutingLayer: 0, Before: []int{1, 2, 0}, After: []int{1, 3, 0}})
 	tr.Swap(SwapInfo{P1: 0, P2: 1, Cost: 1, Forced: true, RoutingLayer: 1, Before: []int{1, 3, 0}, After: []int{0, 3, 1}})
-	tr.EndPass("route")
+	tr.Pass("route", "stitch", time.Now())
 	tr.Stitch(StitchInfo{Layer: 0, Gates: 5, Swaps: 2})
+	tr.Pass("stitch", "", time.Now())
 	tr.Fallback(FallbackInfo{Preset: "VIC", Err: "vic requires device calibration on toy"})
 	tr.Fallback(FallbackInfo{Preset: "IC", Final: true})
 	return tr.Events()
@@ -41,8 +41,7 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 		t.Fatal("nil tracer reports enabled")
 	}
 	tr.Meta(MetaInfo{})
-	tr.BeginPass("map")
-	tr.EndPass("map")
+	tr.Pass("map", "order", time.Time{})
 	tr.Placement(PlacementInfo{})
 	tr.Layer(LayerInfo{})
 	tr.Swap(SwapInfo{})
