@@ -480,7 +480,9 @@ func genCircuits(rng *rand.Rand, count int, devName, policy string, nmin, nmax, 
 // round-robin for count total requests, every request carrying a fresh
 // (γ, β) pair at p=1. Structure and seed repeat exactly across visits, so
 // all requests against one structure share an angle-free skeleton key
-// server-side; only the angles change between them.
+// server-side; only the angles change between them. Every other structure
+// asks for peephole optimization, which the server also binds from its
+// skeleton.
 func genAngleSweep(rng *rand.Rand, graphs, count int, devName, policy string) [][]byte {
 	type structure struct {
 		n     int
@@ -526,7 +528,7 @@ func genAngleSweep(rng *rand.Rand, graphs, count int, devName, policy string) []
 			DeviceName: devName,
 			Circuit:    serve.CircuitDoc{N: s.n, Edges: s.edges},
 			Config: serve.ConfigDoc{Policy: policy, P: 1, Seed: int64(i%graphs + 1), DeadlineMS: 60000,
-				Gamma: []float64{gamma}, Beta: []float64{beta}},
+				Gamma: []float64{gamma}, Beta: []float64{beta}, Optimize: i%graphs%2 == 1},
 		}
 		body, err := json.Marshal(req)
 		if err != nil {

@@ -228,15 +228,7 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 	}
 
 	clk.enter(StageLower, &clk.Lower)
-	if o.Optimize {
-		res.Circuit = circuit.Peephole(res.Circuit)
-	}
-	res.Native = res.Circuit.Decompose(circuit.BasisIBM)
-	if o.Optimize {
-		res.Native = circuit.Peephole(res.Native)
-	}
-	res.Depth = res.Native.Depth()
-	res.GateCount = res.Native.GateCount()
+	res.lower(o.Optimize)
 	if o.Obs.Enabled() {
 		o.Obs.Inc(obsv.CntCompilations)
 		o.Obs.Add(obsv.CntCompileSwaps, int64(res.SwapCount))
@@ -244,6 +236,22 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		o.Obs.Add(obsv.CntCompileDepthTotal, int64(res.Depth))
 	}
 	return res, nil
+}
+
+// lower is the lower stage: decomposition into the IBM basis, peephole
+// optimization of both circuits when optimize is set, and the native
+// depth and gate count. It runs after every routing decision, so a
+// skeleton bind runs it too, on the bound angles the peephole reads.
+func (r *Result) lower(optimize bool) {
+	if optimize {
+		r.Circuit = circuit.Peephole(r.Circuit)
+	}
+	r.Native = r.Circuit.Decompose(circuit.BasisIBM)
+	if optimize {
+		r.Native = circuit.Peephole(r.Native)
+	}
+	r.Depth = r.Native.Depth()
+	r.GateCount = r.Native.GateCount()
 }
 
 // traceMeta describes the compilation for the trace stream, including the

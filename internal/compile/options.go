@@ -146,7 +146,9 @@ type Options struct {
 	// Optimize applies peephole rewrites (gate cancellation and rotation
 	// merging, circuit.Peephole) to the compiled circuit and its native
 	// decomposition — the analogue of a conventional compiler's higher
-	// optimization levels.
+	// optimization levels. The rewrites read angles but run in the lower
+	// stage, after every routing decision, so a skeleton compiled with
+	// Optimize runs them at the end of each bind.
 	Optimize bool
 	// Hook, when non-nil, is invoked at every pass boundary (see Hook).
 	Hook Hook

@@ -8,14 +8,6 @@ import (
 	"repro/internal/graphs"
 )
 
-// RandomOrder returns the problem edges in uniformly random order — the
-// NAIVE/QAIM gate sequence.
-func RandomOrder(g *graphs.Graph, rng *rand.Rand) []graphs.Edge {
-	order := append([]graphs.Edge(nil), g.Edges()...)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	return order
-}
-
 // IPTermLayers implements the paper's Instruction Parallelization (§IV-B)
 // over generic commuting ZZ terms: the operations are ranked by the
 // cumulative operation count of their endpoints (descending, ties random)

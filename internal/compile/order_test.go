@@ -133,26 +133,6 @@ func TestIPOrderCoversAllEdges(t *testing.T) {
 	}
 }
 
-func TestRandomOrderIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	g := graphs.ErdosRenyi(9, 0.5, rng)
-	order := RandomOrder(g, rng)
-	if len(order) != g.M() {
-		t.Fatalf("length %d, want %d", len(order), g.M())
-	}
-	seen := make(map[[2]int]bool)
-	for _, e := range order {
-		if seen[[2]int{e.U, e.V}] {
-			t.Fatalf("duplicate edge in random order")
-		}
-		seen[[2]int{e.U, e.V}] = true
-	}
-	// Original graph untouched.
-	if len(g.Edges()) != g.M() {
-		t.Error("RandomOrder mutated the graph")
-	}
-}
-
 func TestIPLayersEmptyGraph(t *testing.T) {
 	g := graphs.New(5)
 	layers := IPLayers(g, rand.New(rand.NewSource(1)), 0)

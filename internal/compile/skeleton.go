@@ -2,7 +2,6 @@ package compile
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -30,14 +29,10 @@ import (
 // high-level and native circuits for the sentinels recovers exactly which
 // gate slot belongs to which (level, role, term), no matter how the
 // ordering passes permuted the terms. Peephole optimization merges
-// rotations by value and is the one angle-dependent pass, so
-// CompileSkeleton rejects Options.Optimize.
-
-// ErrSkeletonOptimize rejects skeleton compilation with peephole
-// optimization: peephole merges and cancels rotations based on their
-// concrete angles, so an optimized circuit's structure is not
-// angle-independent and cannot be rebound.
-var ErrSkeletonOptimize = errors.New("compile: skeleton compilation is incompatible with peephole optimization (gate structure would depend on the angles)")
+// rotations by value and is the one angle-dependent pass, but it runs in
+// the lower stage, after every routing decision: the sentinel compile
+// leaves it out, and a skeleton compiled with Options.Optimize runs it at
+// the end of each bind, on the bound angles.
 
 // WeightedTerm is one ZZ interaction of a parameterized cost Hamiltonian:
 // at bind time the level-l cost phase of the (U,V) term is −γ[l]·Weight.
@@ -156,8 +151,11 @@ type mixSlot struct {
 // angle set from scratch. A Skeleton is immutable after construction and
 // safe for concurrent Bind calls with distinct buffers.
 type Skeleton struct {
-	n, p  int
+	p     int
 	terms []WeightedTerm
+	// optimize is the compile's Options.Optimize: each bind lowers its
+	// bound circuit afresh, peephole included.
+	optimize bool
 
 	// res is the sentinel-angle compile every bound Result copies whole.
 	// Bind copies its Circuit and Native gate slices and overwrites the
@@ -171,22 +169,6 @@ type Skeleton struct {
 	obs *obsv.Collector
 }
 
-// N returns the number of logical qubits.
-func (s *Skeleton) N() int { return s.n }
-
-// P returns the number of QAOA levels an angle set must have to bind.
-func (s *Skeleton) P() int { return s.p }
-
-// SwapCount, Depth and GateCount report the routed metrics, which are
-// angle-independent and therefore shared by every bound Result.
-func (s *Skeleton) SwapCount() int { return s.res.SwapCount }
-
-// Depth is documented with SwapCount.
-func (s *Skeleton) Depth() int { return s.res.Depth }
-
-// GateCount is documented with SwapCount.
-func (s *Skeleton) GateCount() int { return s.res.GateCount }
-
 // Fallback reports how the degradation ladder arrived at this skeleton
 // (nil for direct CompileSkeleton calls, always set by
 // CompileSkeletonResilient).
@@ -194,17 +176,16 @@ func (s *Skeleton) Fallback() *FallbackInfo { return s.res.Fallback }
 
 // CompileSkeleton runs the full pipeline once for the parameterized spec
 // and returns the reusable skeleton. opts are the usual compile options;
-// Optimize is rejected (see ErrSkeletonOptimize). The routing rng is
-// consumed exactly as a concrete compile would consume it, so a skeleton
-// compiled with a given seed binds to the byte-identical circuit that a
-// concrete compile with the same seed would produce.
+// Optimize is left out of the sentinel compile and applied by every bind.
+// The routing rng is consumed exactly as a concrete compile would consume
+// it, so a skeleton compiled with a given seed binds to the byte-identical
+// circuit that a concrete compile with the same seed would produce.
 func CompileSkeleton(ctx context.Context, ps ParamSpec, dev *device.Device, opts Options) (*Skeleton, error) {
 	if err := ps.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Optimize {
-		return nil, ErrSkeletonOptimize
-	}
+	optimize := opts.Optimize
+	opts.Optimize = false
 	res, err := CompileSpecContext(ctx, ps.sentinelSpec(), dev, opts)
 	if err != nil {
 		return nil, err
@@ -213,6 +194,7 @@ func CompileSkeleton(ctx context.Context, ps ParamSpec, dev *device.Device, opts
 	if err != nil {
 		return nil, err
 	}
+	sk.optimize = optimize
 	opts.Obs.Inc(obsv.CntSkeletonCompiles)
 	return sk, nil
 }
@@ -231,7 +213,7 @@ func newSkeleton(ps ParamSpec, res *Result, obs *obsv.Collector) (*Skeleton, err
 		mixIdx[2*ps.mixerSentinel(l)] = int32(l)
 	}
 	sk := &Skeleton{
-		n: ps.N, p: ps.P,
+		p:     ps.P,
 		terms: append([]WeightedTerm(nil), ps.Terms...),
 		res:   *res,
 		obs:   obs,
@@ -306,7 +288,10 @@ func (s *Skeleton) Bind(params qaoa.Params) (*Result, error) {
 // CompileSpecContext would produce for the concrete spec with the same
 // options and seed, at the cost of two gate-slice copies. The Result
 // shares the skeleton's layouts (immutable) and reports the skeleton's
-// one-time pass timings; it is valid until buf's next bind.
+// one-time pass timings; it is valid until buf's next bind. A skeleton
+// compiled with Optimize runs the lower stage on the bound circuit
+// instead of copying the native one, so only a bind without Optimize is
+// allocation-free.
 func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -317,13 +302,18 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 	// The copies grow buf once; later binds reuse its capacity.
 	buf.circ.NQubits = s.res.Circuit.NQubits
 	buf.circ.Gates = append(buf.circ.Gates[:0], s.res.Circuit.Gates...)
-	buf.native.NQubits = s.res.Native.NQubits
-	buf.native.Gates = append(buf.native.Gates[:0], s.res.Native.Gates...)
 	writeSlots(buf.circ.Gates, s.circCost, s.circMix, s.terms, params)
-	writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
 	s.obs.Inc(obsv.CntCompileBinds)
 	buf.res = s.res
-	buf.res.Circuit, buf.res.Native = &buf.circ, &buf.native
+	buf.res.Circuit = &buf.circ
+	if s.optimize {
+		buf.res.lower(true)
+		return &buf.res, nil
+	}
+	buf.native.NQubits = s.res.Native.NQubits
+	buf.native.Gates = append(buf.native.Gates[:0], s.res.Native.Gates...)
+	writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
+	buf.res.Native = &buf.native
 	return &buf.res, nil
 }
 

@@ -2,8 +2,8 @@ package compile
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,9 +72,10 @@ func requireSameLayout(t *testing.T, label string, got, want *router.Layout) {
 	}
 }
 
-// The tentpole oracle: for every preset, device, seed, level count and a
-// spread of angle sets, binding the one-time skeleton is byte-identical
-// to running the full pipeline on the concrete angles with the same seed.
+// The tentpole oracle: for every preset, device, seed, level count, a
+// spread of angle sets and peephole optimization on or off, binding the
+// one-time skeleton is byte-identical to running the full pipeline on the
+// concrete angles with the same seed.
 func TestSkeletonBindMatchesCompileOracle(t *testing.T) {
 	devices := []*device.Device{device.Melbourne15(), device.Tokyo20()}
 	graphsUnderTest := []*graphs.Graph{
@@ -82,9 +83,11 @@ func TestSkeletonBindMatchesCompileOracle(t *testing.T) {
 		graphs.MustRandomRegular(10, 3, rand.New(rand.NewSource(4))),
 	}
 	angleSets := []qaoa.Params{
-		{Gamma: []float64{0.8, 0.37}, Beta: []float64{0.4, 0.19}},
-		{Gamma: []float64{-1.2, 2.5}, Beta: []float64{0.05, -0.7}},
-		{Gamma: []float64{0, 0}, Beta: []float64{0, 0}}, // zero angles must not change structure
+		{Gamma: []float64{0.8, 0.37, 0.21}, Beta: []float64{0.4, 0.19, 0.11}},
+		{Gamma: []float64{-1.2, 2.5, -0.3}, Beta: []float64{0.05, -0.7, 1.3}},
+		{Gamma: []float64{0, 0, 0}, Beta: []float64{0, 0, 0}}, // zero angles must not change structure
+		// π mixers are 2π rotations, which peephole drops.
+		{Gamma: []float64{math.Pi, -math.Pi, 2 * math.Pi}, Beta: []float64{math.Pi, math.Pi / 2, -math.Pi}},
 	}
 	ctx := context.Background()
 	for _, dev := range devices {
@@ -95,27 +98,35 @@ func TestSkeletonBindMatchesCompileOracle(t *testing.T) {
 					continue
 				}
 				for _, seed := range []int64{1, 7} {
-					for _, p := range []int{1, 2} {
+					for _, p := range []int{1, 2, 3} {
 						ps, err := ParamSpecFromMaxCut(prob, p)
 						if err != nil {
 							t.Fatal(err)
 						}
-						sk, err := CompileSkeleton(ctx, ps, dev, preset.Options(rand.New(rand.NewSource(seed))))
-						if err != nil {
-							t.Fatalf("%s/%v seed=%d p=%d: skeleton: %v", dev.Name, preset, seed, p, err)
-						}
-						var buf BindBuffer
-						for _, full := range angleSets {
-							params := qaoa.Params{Gamma: full.Gamma[:p], Beta: full.Beta[:p]}
-							bound, err := sk.BindTo(&buf, params)
-							if err != nil {
-								t.Fatalf("%s/%v seed=%d p=%d: bind: %v", dev.Name, preset, seed, p, err)
+						for _, optimize := range []bool{false, true} {
+							label := fmt.Sprintf("%s/%v seed=%d p=%d optimize=%t", dev.Name, preset, seed, p, optimize)
+							opts := func() Options {
+								o := preset.Options(rand.New(rand.NewSource(seed)))
+								o.Optimize = optimize
+								return o
 							}
-							oracle, err := CompileContext(ctx, prob, params, dev, preset.Options(rand.New(rand.NewSource(seed))))
+							sk, err := CompileSkeleton(ctx, ps, dev, opts())
 							if err != nil {
-								t.Fatalf("%s/%v seed=%d p=%d: oracle: %v", dev.Name, preset, seed, p, err)
+								t.Fatalf("%s: skeleton: %v", label, err)
 							}
-							requireSameResult(t, dev.Name+"/"+preset.String(), bound, oracle)
+							var buf BindBuffer
+							for _, full := range angleSets {
+								params := qaoa.Params{Gamma: full.Gamma[:p], Beta: full.Beta[:p]}
+								bound, err := sk.BindTo(&buf, params)
+								if err != nil {
+									t.Fatalf("%s: bind: %v", label, err)
+								}
+								oracle, err := CompileContext(ctx, prob, params, dev, opts())
+								if err != nil {
+									t.Fatalf("%s: oracle: %v", label, err)
+								}
+								requireSameResult(t, label, bound, oracle)
+							}
 						}
 					}
 				}
@@ -206,19 +217,6 @@ func TestSkeletonResilientMatchesResilientOracle(t *testing.T) {
 	}
 	if !bound.Fallback.Degraded || bound.Fallback.Effective != PresetIC {
 		t.Fatalf("expected VIC→IC degradation, got %+v", bound.Fallback)
-	}
-}
-
-func TestSkeletonRejectsOptimize(t *testing.T) {
-	ps := ParamSpec{N: 2, P: 1, Terms: []WeightedTerm{{U: 0, V: 1, Weight: 1}}}
-	dev := device.Melbourne15()
-	opts := PresetIC.Options(rand.New(rand.NewSource(1)))
-	opts.Optimize = true
-	if _, err := CompileSkeleton(context.Background(), ps, dev, opts); !errors.Is(err, ErrSkeletonOptimize) {
-		t.Fatalf("CompileSkeleton with Optimize: err = %v, want ErrSkeletonOptimize", err)
-	}
-	if _, err := CompileSkeletonResilient(context.Background(), ps, dev, PresetIC, FallbackOptions{Optimize: true}); !errors.Is(err, ErrSkeletonOptimize) {
-		t.Fatalf("CompileSkeletonResilient with Optimize: err = %v, want ErrSkeletonOptimize", err)
 	}
 }
 

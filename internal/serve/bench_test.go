@@ -116,7 +116,7 @@ func BenchmarkServeColdRender(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := buildOutcome(p, res, p.preset, false, nil, nil)
+		out := buildOutcome(p, res, &skelEntry{start: p.preset})
 		if err := writeCompileResponse(w, rs, p, out, false); err != nil {
 			b.Fatal(err)
 		}

@@ -177,19 +177,14 @@ func (c *lru[V]) len() int {
 	return c.ll.Len()
 }
 
-// flight is one in-progress compilation shared by every concurrent request
-// with the same cache key — singleflight deduplication. done is closed
-// exactly once, after out/err are set.
-//
-// Two flavors exist. An optimize flight is keyed on the full request hash
-// and carries a finished outcome. A skeleton flight is keyed on the
-// angle-free hash and carries the routed skeleton instead: every waiter —
-// each possibly holding different angles — binds its own parameters and
-// caches the result under its own full key, so one routing pass serves the
-// whole angle sweep that piled up behind it.
+// flight is one in-progress skeleton compile shared by every concurrent
+// request with the same skeleton key — singleflight deduplication. done is
+// closed exactly once, after skel/err are set. Every waiter — each possibly
+// holding different angles — binds its own parameters into the routed
+// skeleton and caches the result under its own full key, so one routing
+// pass serves the whole angle sweep that piled up behind it.
 type flight struct {
 	done chan struct{}
-	out  *outcome
 	skel *skelEntry
 	err  error
 	// queueWait and breaker are set by the leader before finish closes
@@ -222,12 +217,13 @@ func (g *flightGroup) join(key string) (f *flight, leader bool) {
 	return f, true
 }
 
-// finish publishes the flight's result, wakes every waiter, and removes the
-// flight from the group. The leader must call put on the cache before
-// finish, so a request arriving after removal hits the cache instead of
-// starting a duplicate flight.
-func (g *flightGroup) finish(key string, f *flight, out *outcome, err error) {
-	f.out, f.err = out, err
+// finish publishes the flight's error (the leader has set f.skel on
+// success), wakes every waiter, and removes the flight from the group. The
+// leader must call put on the skeleton cache before finish, so a request
+// arriving after removal hits the cache instead of starting a duplicate
+// flight.
+func (g *flightGroup) finish(key string, f *flight, err error) {
+	f.err = err
 	g.mu.Lock()
 	delete(g.flights, key)
 	g.mu.Unlock()

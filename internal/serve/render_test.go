@@ -22,13 +22,30 @@ import (
 	"repro/internal/qasm"
 )
 
+// spec is the request's concrete compile.Spec: the canonical terms at each
+// level's gamma, plus the level's mixer angle — what a direct compile of
+// the request, the oracle for every skeleton bind, compiles.
+func (p *parsedRequest) spec() compile.Spec {
+	s := compile.Spec{N: p.paramSpec.N, Levels: make([]compile.LevelSpec, p.paramSpec.P)}
+	for l := range s.Levels {
+		terms := make([]compile.ZZTerm, len(p.paramSpec.Terms))
+		for i, t := range p.paramSpec.Terms {
+			terms[i] = compile.ZZTerm{U: t.U, V: t.V, Theta: -p.gamma[l] * t.Weight}
+		}
+		s.Levels[l] = compile.LevelSpec{ZZ: terms, MixerBeta: p.beta[l]}
+	}
+	return s
+}
+
 // cacheKeysOracle is the fmt.Fprintf key hash that cacheKeys replaced,
-// over the parsed request's canonical fields.
+// over the parsed request's canonical fields. The skeleton key is the full
+// key's lines without the angle lines, behind a marker line.
 func cacheKeysOracle(p *parsedRequest) (key, skelKey string) {
 	levels := len(p.gamma)
-	h := sha256.New()
-	fmt.Fprintf(h, "dev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
+	header := fmt.Sprintf("dev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
 		p.deviceID, p.preset, p.seed, p.packing, p.optimize, p.paramSpec.N, levels)
+	h := sha256.New()
+	fmt.Fprint(h, header)
 	for l := 0; l < levels; l++ {
 		fmt.Fprintf(h, "level=%d gamma=%g beta=%g\n", l, p.gamma[l], p.beta[l])
 	}
@@ -36,15 +53,12 @@ func cacheKeysOracle(p *parsedRequest) (key, skelKey string) {
 		fmt.Fprintf(h, "%d %d %g\n", e.U, e.V, e.Weight)
 	}
 	key = hex.EncodeToString(h.Sum(nil))
-	if !p.optimize {
-		h = sha256.New()
-		fmt.Fprintf(h, "skeleton\ndev=%s\npreset=%s\nseed=%d\npacking=%d\nn=%d\np=%d\n",
-			p.deviceID, p.preset, p.seed, p.packing, p.paramSpec.N, levels)
-		for _, e := range p.paramSpec.Terms {
-			fmt.Fprintf(h, "%d %d %g\n", e.U, e.V, e.Weight)
-		}
-		skelKey = hex.EncodeToString(h.Sum(nil))
+	h = sha256.New()
+	fmt.Fprint(h, "skeleton\n"+header)
+	for _, e := range p.paramSpec.Terms {
+		fmt.Fprintf(h, "%d %d %g\n", e.U, e.V, e.Weight)
 	}
+	skelKey = hex.EncodeToString(h.Sum(nil))
 	return key, skelKey
 }
 
@@ -139,9 +153,6 @@ func TestCacheKeysMatchFprintfOracle(t *testing.T) {
 		if p.key != key || p.skelKey != skelKey {
 			t.Fatalf("request %d (%+v): keys (%s, %s), oracle (%s, %s)", i, req.Config, p.key, p.skelKey, key, skelKey)
 		}
-		if (p.skelKey == "") != req.Config.Optimize {
-			t.Fatalf("request %d: optimize=%t but skeleton key %q", i, req.Config.Optimize, p.skelKey)
-		}
 		seen[p.key] = true
 	}
 	if len(seen) < 2900 {
@@ -214,6 +225,8 @@ func TestCompileResponseBytesMatchEncoder(t *testing.T) {
 	base := angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2})
 	other := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.1})
 	third := angleRequest("tokyo", 6, 3, "IC", []float64{0.3}, []float64{0.6})
+	// β = π makes every mixer a 2π rotation, which peephole drops.
+	piMixer := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{math.Pi})
 	// VIC needs a calibration tokyo lacks: the ladder falls back to IC and
 	// the response is degraded with a reason and failed attempts.
 	degraded := angleRequest("tokyo", 7, 5, "VIC", []float64{0.4, 0.2}, []float64{0.3, 0.1})
@@ -230,6 +243,8 @@ func TestCompileResponseBytesMatchEncoder(t *testing.T) {
 		{"skeleton hit without QASM", third, true},
 		{"uncached optimize", optimize(base), false},
 		{"cached optimize with QASM", withQASM(optimize(base)), true},
+		{"optimize skeleton hit without QASM", optimize(piMixer), true},
+		{"optimize full-key hit asking for QASM its bind did not render", withQASM(optimize(piMixer)), true},
 		{"uncached degraded", withQASM(degraded), false},
 		{"cached degraded", degraded, true},
 	}
@@ -252,6 +267,10 @@ func TestCompileResponseBytesMatchEncoder(t *testing.T) {
 		if p.emitQASM {
 			qasmText = qasm.Export(res.Native)
 		}
+		if out.swaps != res.SwapCount || out.depth != res.Depth || out.gates != res.GateCount {
+			t.Errorf("%s: metrics swaps=%d depth=%d gates=%d, direct compile %d/%d/%d",
+				tc.name, out.swaps, out.depth, out.gates, res.SwapCount, res.Depth, res.GateCount)
+		}
 		want := responseOracle(t, p.key, tc.cached, out, res.Circuit.String(), qasmText)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: response differs from the encoder oracle\ngot:\n%s\nwant:\n%s", tc.name, got, want)
@@ -261,10 +280,24 @@ func TestCompileResponseBytesMatchEncoder(t *testing.T) {
 				tc.name, out.degraded, out.degradedWhy, out.attempts)
 		}
 	}
-	// The lazy QASM case really was lazy: the base outcome holds no export.
-	p, _ := s.parseRequest(&base)
-	if out, _ := s.cache.get(p.key); out.qasmJSON != "" || out.skel == nil {
-		t.Error("a bind for a request without emit_qasm rendered its QASM eagerly")
+	// The lazy QASM cases really were lazy: the outcomes of the first
+	// requests without emit_qasm hold no export.
+	for _, req := range []CompileRequest{base, optimize(piMixer)} {
+		p, _ := s.parseRequest(&req)
+		if out, _ := s.cache.get(p.key); out.qasmJSON != "" || out.skel == nil {
+			t.Errorf("optimize=%t: a bind for a request without emit_qasm rendered its QASM eagerly", p.optimize)
+		}
+	}
+	// The optimize cases exercise peephole: their binds lost gates.
+	pm := optimize(piMixer)
+	p, _ := s.parseRequest(&pm)
+	plain, err := compile.CompileSpecResilient(context.Background(), p.spec(), p.dev, p.preset,
+		compile.FallbackOptions{Seed: p.seed, PackingLimit: p.packing, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := s.cache.get(p.key); out.gates >= plain.GateCount {
+		t.Errorf("peephole left %d of %d native gates; the optimize cases do not exercise it", out.gates, plain.GateCount)
 	}
 }
 

@@ -132,41 +132,13 @@ type parsedRequest struct {
 	wait     time.Duration // client wait budget (0 = server default)
 
 	// The request as structure and angles: the angle-free structure, the
-	// angles to bind, and the angle-free skeleton-tier key. Optimize
-	// requests have no skeleton key — peephole rewriting is angle-
-	// dependent, so those can only be cached post-bind — and compile the
-	// concrete spec built from the other three.
+	// angles to bind, and the angle-free skeleton-tier key. The skeleton
+	// key also keys the singleflight group, so concurrent distinct-angle
+	// requests over one structure share a single routing pass.
 	paramSpec compile.ParamSpec
 	gamma     []float64
 	beta      []float64
 	skelKey   string
-}
-
-// spec is the request's concrete compile.Spec: the canonical terms at each
-// level's gamma, plus the level's mixer angle. Only optimize requests
-// compile one, so it is built there, not on every request; parseRequest
-// has already checked everything compile.Spec.Validate checks.
-func (p *parsedRequest) spec() compile.Spec {
-	s := compile.Spec{N: p.paramSpec.N, Levels: make([]compile.LevelSpec, p.paramSpec.P)}
-	for l := range s.Levels {
-		terms := make([]compile.ZZTerm, len(p.paramSpec.Terms))
-		for i, t := range p.paramSpec.Terms {
-			terms[i] = compile.ZZTerm{U: t.U, V: t.V, Theta: -p.gamma[l] * t.Weight}
-		}
-		s.Levels[l] = compile.LevelSpec{ZZ: terms, MixerBeta: p.beta[l]}
-	}
-	return s
-}
-
-// flightKey keys the singleflight group: skeleton-eligible requests
-// deduplicate on the angle-free key, so concurrent distinct-angle requests
-// over the same structure share a single routing pass and each waiter binds
-// its own angles.
-func (p *parsedRequest) flightKey() string {
-	if p.skelKey != "" {
-		return p.skelKey
-	}
-	return p.key
 }
 
 // parseRequest validates and canonicalizes req against the device registry.
@@ -297,9 +269,9 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 	}
 
 	// The request's structure, angle-free: the skeleton tier compiles this
-	// once per structure and binds gamma/beta per request; spec rebuilds
-	// the concrete terms in the same order, so a bound skeleton is
-	// byte-identical to the direct compile.
+	// once per structure and binds gamma/beta per request, term for term in
+	// this order, so a bound skeleton is byte-identical to the direct
+	// compile.
 	p.gamma, p.beta = gamma, beta
 	p.paramSpec = compile.ParamSpec{N: c.N, P: levels, Terms: make([]compile.WeightedTerm, len(canon))}
 	for i, e := range canon {
@@ -314,15 +286,13 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // cacheKeys hashes the canonical request into its full key — graph ×
-// device(+epoch) × preset × config, angles included — and, except for
-// optimize requests, its skeleton-tier key: the full key's layout minus
-// the optimize and angle lines, plus a marker so the two keyspaces can
-// never collide. Optimize requests get no skeleton key, since their gate
-// structure depends on the angles.
+// device(+epoch) × preset × config, angles included — and its
+// skeleton-tier key: the full key's layout minus the angle lines, plus a
+// marker so the two keyspaces can never collide.
 //
 // Both hash one appended buffer laid out as
 //
-//	skeleton\n | dev..packing | optimize | n, p | angle lines | edge lines
+//	skeleton\n | dev..optimize, n, p | angle lines | edge lines
 //
 // so the full key is one contiguous tail and the edge lines are rendered
 // once for both. Numbers print as %d and %g would (strconv 'g', -1).
@@ -338,10 +308,8 @@ func cacheKeys(p *parsedRequest) (key, skelKey string) {
 	b = strconv.AppendInt(b, p.seed, 10)
 	b = append(b, "\npacking="...)
 	b = strconv.AppendInt(b, int64(p.packing), 10)
-	optStart := len(b)
 	b = append(b, "\noptimize="...)
 	b = strconv.AppendBool(b, p.optimize)
-	shapeStart := len(b)
 	b = append(b, "\nn="...)
 	b = strconv.AppendInt(b, int64(p.paramSpec.N), 10)
 	b = append(b, "\np="...)
@@ -374,13 +342,10 @@ func cacheKeys(p *parsedRequest) (key, skelKey string) {
 	var hexBuf [2 * sha256.Size]byte
 	sum := sha256.Sum256(b[fullStart:])
 	key = string(hex.AppendEncode(hexBuf[:0], sum[:]))
-	if !p.optimize {
-		h := sha256.New()
-		h.Write(b[:optStart])
-		h.Write(b[shapeStart:anglesStart])
-		h.Write(b[edgesStart:])
-		skelKey = string(hex.AppendEncode(hexBuf[:0], h.Sum(sum[:0])))
-	}
+	h := sha256.New()
+	h.Write(b[:anglesStart])
+	h.Write(b[edgesStart:])
+	skelKey = string(hex.AppendEncode(hexBuf[:0], h.Sum(sum[:0])))
 	*kb = b
 	keyBufs.Put(kb)
 	return key, skelKey

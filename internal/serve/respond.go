@@ -12,10 +12,10 @@ import (
 )
 
 // The success path renders every artifact once. buildOutcome renders the
-// circuit text (and the QASM export, when the request asked for it or the
-// outcome is a concrete compile) straight into pooled scratch and stores
-// each as a ready JSON string literal; writeCompileResponse then frames
-// the CompileResponse around those literals by hand. The bytes are those
+// circuit text (and the QASM export, when the request asked for it)
+// straight into pooled scratch and stores each as a ready JSON string
+// literal; writeCompileResponse then frames the CompileResponse around
+// those literals by hand. The bytes are those
 // json.Encoder with SetIndent("", "  ") writes for the same response —
 // field order, omitempty rules, HTML escaping and the trailing newline —
 // which the response-bytes oracle test holds it to.

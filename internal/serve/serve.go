@@ -16,7 +16,7 @@
 //     half-open probes test recovery;
 //   - per-request deadlines bounding each client's wait, a server-side
 //     compile budget bounding each flight, and the retry/backoff ladder of
-//     compile.CompileSpecResilient absorbing transient pass faults;
+//     compile.CompileSkeletonResilient absorbing transient pass faults;
 //   - graceful shutdown: readiness flips before the listener stops, then
 //     in-flight flights drain under a deadline, then the lifecycle context
 //     is cancelled and aborts whatever remains.
@@ -70,7 +70,7 @@ type Config struct {
 	// any client's patience (default 1m).
 	CompileBudget time.Duration
 	// Retries, Backoff and AttemptTimeout configure the server-side
-	// retry policy handed to compile.CompileSpecResilient (defaults: 1
+	// retry policy handed to compile.CompileSkeletonResilient (defaults: 1
 	// retry per rung, 5ms backoff, AttemptTimeout = CompileBudget/2).
 	Retries        int
 	Backoff        time.Duration
@@ -412,20 +412,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// same angle-free structure is still a cache hit — binding the angles
 	// costs microseconds, not a routing pass. The bound outcome fills the
 	// full-key tier so the exact-angle repeat is a first-tier hit.
-	if p.skelKey != "" {
-		if se, ok := s.skels.get(p.skelKey); ok {
-			rs.rec.LookupMS = rs.lap()
-			out, err := s.bindOutcome(p, se, rs)
-			if err != nil {
-				s.compileFailed(w, rs, err)
-				return
-			}
-			s.cache.put(p.key, p.deviceID, out)
-			rs.rec.CacheHit = true
-			rs.rec.SkeletonHit = true
-			s.respondOK(w, rs, p, out, true)
+	if se, ok := s.skels.get(p.skelKey); ok {
+		rs.rec.LookupMS = rs.lap()
+		out, err := s.bindOutcome(p, se, rs)
+		if err != nil {
+			s.compileFailed(w, rs, err)
 			return
 		}
+		s.cache.put(p.key, p.deviceID, out)
+		rs.rec.CacheHit = true
+		rs.rec.SkeletonHit = true
+		s.respondOK(w, rs, p, out, true)
+		return
 	}
 	rs.rec.LookupMS = rs.lap()
 
@@ -440,7 +438,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
 
-	f, leader := s.flights.join(p.flightKey())
+	f, leader := s.flights.join(p.skelKey)
 	if leader {
 		s.flightWG.Add(1)
 		go s.runFlight(p, f, id)
@@ -575,19 +573,15 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 	rs.rec.Breaker = f.breaker
 	switch {
 	case f.err == nil:
-		out := f.out
-		if out == nil && f.skel != nil {
-			// Skeleton flight: this waiter binds its own angles — possibly
-			// different from every other waiter's — and caches the bound
-			// outcome under its own full key.
-			var err error
-			out, err = s.bindOutcome(p, f.skel, rs)
-			if err != nil {
-				s.compileFailed(w, rs, err)
-				return
-			}
-			s.cache.put(p.key, p.deviceID, out)
+		// This waiter binds its own angles — possibly different from every
+		// other waiter's — and caches the bound outcome under its own full
+		// key.
+		out, err := s.bindOutcome(p, f.skel, rs)
+		if err != nil {
+			s.compileFailed(w, rs, err)
+			return
 		}
+		s.cache.put(p.key, p.deviceID, out)
 		rs.rec.MapMS = durMS(out.times.Map)
 		rs.rec.OrderMS = durMS(out.times.Order)
 		rs.rec.RouteMS = durMS(out.times.Route)
@@ -620,13 +614,10 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 // joins the flight back to that request (waiters of the same flight share
 // the leader's compilation and therefore its trace).
 //
-// Skeleton-eligible flights (every non-optimize request) compile the
-// angle-free routed skeleton and publish it on the flight; each waiter then
-// binds its own angles in respondFlight. Optimize flights keep the concrete
-// compile and publish the finished outcome.
+// The flight compiles the angle-free routed skeleton and publishes it on
+// the flight; each waiter then binds its own angles in respondFlight.
 func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 	defer s.flightWG.Done()
-	fkey := p.flightKey()
 
 	qstart := time.Now()
 	qctx, qcancel := context.WithTimeout(s.baseCtx, s.cfg.QueueTimeout)
@@ -640,7 +631,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 			// overload, same as an instantly full queue.
 			err = errShed
 		}
-		s.flights.finish(fkey, f, nil, err)
+		s.flights.finish(p.skelKey, f, err)
 		return
 	}
 	defer release()
@@ -650,7 +641,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		f.breaker = state
 	}
 	if !ok {
-		s.flights.finish(fkey, f, nil, errAllBreakersOpen)
+		s.flights.finish(p.skelKey, f, errAllBreakersOpen)
 		return
 	}
 
@@ -674,33 +665,17 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		Obs:            s.obs,
 		Trace:          tr,
 	}
-	var out *outcome
 	var fb *compile.FallbackInfo
-	if p.skelKey != "" {
-		var sk *compile.Skeleton
-		sk, err = compile.CompileSkeletonResilient(cctx, p.paramSpec, p.dev, start, fo)
-		if err == nil {
-			fb = sk.Fallback()
-			f.skel = &skelEntry{skel: sk, start: start, rerouted: rerouted, trace: tr.Events()}
-			s.skels.put(p.skelKey, p.deviceID, f.skel)
-		}
-	} else {
-		var res *compile.Result
-		res, err = compile.CompileSpecResilient(cctx, p.spec(), p.dev, start, fo)
-		if err == nil {
-			fb = res.Fallback
-			out = buildOutcome(p, res, start, rerouted, tr.Events(), nil)
-			s.cache.put(p.key, p.deviceID, out)
-		}
+	sk, err := compile.CompileSkeletonResilient(cctx, p.paramSpec, p.dev, start, fo)
+	if err == nil {
+		fb = sk.Fallback()
+		f.skel = &skelEntry{skel: sk, start: start, rerouted: rerouted, trace: tr.Events()}
+		s.skels.put(p.skelKey, p.deviceID, f.skel)
 	}
 	cspan.End()
 
 	s.breakers.observe(fb, attemptsOf(fb, err, start))
-	if err != nil {
-		s.flights.finish(fkey, f, nil, err)
-		return
-	}
-	s.flights.finish(fkey, f, out, nil)
+	s.flights.finish(p.skelKey, f, err)
 }
 
 // bindBufs pools bind buffers across requests: a bind writes the angles
@@ -722,7 +697,7 @@ func (s *Server) bindOutcome(p *parsedRequest, se *skelEntry, rs *reqState) (*ou
 	}
 	rs.rec.BindMS += rs.lap()
 	//lint:allow poolsafe: buildOutcome deep-copies everything it keeps (rendered strings, fresh layout slices); nothing in the outcome aliases buf — TestBindOutcomeCopiesPooledBuffer guards this
-	out := buildOutcome(p, res, se.start, se.rerouted, se.trace, se)
+	out := buildOutcome(p, res, se)
 	rs.rec.RenderMS += rs.lap()
 	return out, nil
 }
@@ -745,12 +720,12 @@ func attemptsOf(fb *compile.FallbackInfo, err error, start compile.Preset) []com
 	return nil
 }
 
-// buildOutcome freezes a compile result into the immutable cached
-// artifact, rendering its circuit text once. The QASM export is rendered
-// too unless res was bound from the skeleton entry se for a request that
-// did not ask for QASM: that outcome keeps se and the angles instead, and
-// a later request that asks for the export rebinds it.
-func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, rerouted bool, trEvents []trace.Event, se *skelEntry) *outcome {
+// buildOutcome freezes res, bound from the skeleton entry se, into the
+// immutable cached artifact, rendering its circuit text once. The QASM
+// export is rendered too when the request asked for it; otherwise the
+// outcome keeps se and the angles, and a later request that asks for the
+// export rebinds it. The starting preset, reroute and trace come from se.
+func buildOutcome(p *parsedRequest, res *compile.Result, se *skelEntry) *outcome {
 	rb := renderBufs.Get().(*renderBuf)
 	defer renderBufs.Put(rb)
 	rb.text = res.Circuit.AppendText(rb.text[:0])
@@ -768,20 +743,20 @@ func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, r
 		attempts:      len(res.Fallback.Attempts),
 		fallbackDepth: fallbackDepth(res.Fallback.Attempts),
 		times:         res.Times,
-		trace:         trEvents,
+		trace:         se.trace,
 	}
-	if se == nil || p.emitQASM {
+	if p.emitQASM {
 		rb.text = qasm.Append(rb.text[:0], res.Native)
 		out.qasmJSON = rb.literal()
 	} else {
 		out.skel, out.gamma, out.beta = se, p.gamma, p.beta
 	}
-	out.degraded = rerouted || res.Fallback.Degraded
+	out.degraded = se.rerouted || res.Fallback.Degraded
 	switch {
 	case res.Fallback.Degraded && res.Fallback.Reason != "":
 		out.degradedWhy = res.Fallback.Reason
-	case rerouted:
-		out.degradedWhy = fmt.Sprintf("circuit breaker open for %s; started at %s", p.preset, start)
+	case se.rerouted:
+		out.degradedWhy = fmt.Sprintf("circuit breaker open for %s; started at %s", p.preset, se.start)
 	}
 	return out
 }

@@ -749,34 +749,44 @@ func TestSkeletonBindMatchesDirectCompile(t *testing.T) {
 	}
 }
 
-// Optimize requests are angle-dependent post-bind, so they bypass the
-// skeleton tier entirely.
-func TestOptimizeRequestsBypassSkeletonTier(t *testing.T) {
+// Peephole runs at the end of each bind, so optimize requests share the
+// skeleton tier: a second optimize request over the same structure with
+// new angles is a skeleton hit, with no second compile flight.
+func TestOptimizeRequestsShareSkeletonTier(t *testing.T) {
 	s, ts, col := newTestServer(t, Config{})
 	req := angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2})
 	req.Config.Optimize = true
-	if st, _, _ := postCompile(t, ts.URL, req); st != http.StatusOK {
-		t.Fatalf("optimize compile failed")
+	if st, got, _ := postCompile(t, ts.URL, req); st != http.StatusOK || got.Cached {
+		t.Fatalf("first optimize request: status %d cached %v", st, got.Cached)
 	}
 	req2 := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.1})
 	req2.Config.Optimize = true
-	if st, got, _ := postCompile(t, ts.URL, req2); st != http.StatusOK || got.Cached {
+	if st, got, _ := postCompile(t, ts.URL, req2); st != http.StatusOK || !got.Cached {
 		t.Fatalf("second optimize request: status %d cached %v", st, got.Cached)
 	}
-	if s.SkeletonCacheLen() != 0 {
-		t.Errorf("skeleton cache has %d entries for optimize traffic, want 0", s.SkeletonCacheLen())
+	if n := col.Counter(obsv.CntServeSkeletonHits); n != 1 {
+		t.Errorf("skeleton hits = %d, want 1", n)
 	}
-	if n := col.Counter(obsv.CntServeSkeletonHits) + col.Counter(obsv.CntServeSkeletonMisses); n != 0 {
-		t.Errorf("skeleton tier touched %d times by optimize traffic, want 0", n)
+	if s.SkeletonCacheLen() != 1 {
+		t.Errorf("skeleton cache has %d entries, want 1", s.SkeletonCacheLen())
 	}
-	if n := col.Counter(obsv.CntServeCompiles); n != 2 {
-		t.Errorf("%d compile flights, want 2", n)
+	if n := col.Counter(obsv.CntServeCompiles); n != 1 {
+		t.Errorf("%d compile flights, want 1", n)
 	}
 }
 
 // Concurrent distinct-angle requests over one structure share a single
-// skeleton flight: one routing pass, every waiter binds its own angles.
+// skeleton flight: one routing pass, every waiter binds its own angles,
+// with or without peephole optimization.
 func TestDistinctAngleSingleflight(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("optimize=%t", optimize), func(t *testing.T) {
+			testDistinctAngleSingleflight(t, optimize)
+		})
+	}
+}
+
+func testDistinctAngleSingleflight(t *testing.T, optimize bool) {
 	hook := compile.Hook(func(string) error { time.Sleep(5 * time.Millisecond); return nil })
 	_, ts, col := newTestServer(t, Config{Workers: 1, Hook: hook})
 	const n = 6
@@ -788,6 +798,7 @@ func TestDistinctAngleSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := angleRequest("tokyo", 6, 3, "IC", []float64{0.1 * float64(i+1)}, []float64{0.05 * float64(i+1)})
+			req.Config.Optimize = optimize
 			body, _ := json.Marshal(req)
 			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
 			if err != nil {
